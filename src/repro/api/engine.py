@@ -84,7 +84,7 @@ from ..pipeline.campaign import (
     merge_reports,
 )
 from ..pipeline.store import cell_key
-from ..toolchain import ArtifactCache, Toolchain, profile_signature
+from ..toolchain import Toolchain, profile_signature
 from ..tools.l2c import prepare
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
 from .events import (
@@ -107,13 +107,13 @@ Cell = Tuple[CLitmus, str, str, str]
 #: the campaign parameters that change a source simulation.
 _WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
 
-#: per-process staged toolchain — artifact keys are content addresses, so
-#: worker-local caches stay sound and reuse compiles across that worker's
-#: cells exactly like the in-process path does.  The cache is *bounded*:
-#: workers live as long as the pool, and artifacts hold disassembly
-#: listings and outcome sets — an unbounded cache would grow linearly
-#: with the cells a worker evaluates (a 10k-test campaign would OOM).
-_WORKER_TOOLCHAIN = Toolchain(cache=ArtifactCache(max_entries=512))
+#: per-process staged toolchain.  Its artifact entries live for one pool
+#: task (:func:`_pool_cell` / :func:`_pool_diff_cell` clear them on
+#: return; the hit/miss counters keep running): which cells share a
+#: worker depends on scheduling, so cross-task reuse would make a run's
+#: work — and its cache counters — vary from run to run.  Scoping also
+#: bounds the worker's memory however many cells it evaluates.
+_WORKER_TOOLCHAIN = Toolchain()
 
 
 def _pool_cell(task: Tuple) -> Dict[str, object]:
@@ -153,10 +153,13 @@ def _pool_cell(task: Tuple) -> Dict[str, object]:
         )
 
     misses_before = cache.misses
-    record = _verdict_record(
-        litmus, arch, opt, compiler, source_model, augment, budget_candidates,
-        produce_result,
-    )
+    try:
+        record = _verdict_record(
+            litmus, arch, opt, compiler, source_model, augment,
+            budget_candidates, produce_result,
+        )
+    finally:
+        _WORKER_TOOLCHAIN.cache.clear()
     record["source_simulated"] = cache.misses > misses_before
     return record
 
@@ -255,10 +258,13 @@ def _pool_diff_cell(task: Tuple) -> Dict[str, object]:
         )
 
     misses_before = cache.misses
-    record = _diff_verdict_record(
-        litmus, arch, label, spec_a, spec_b, source_model, augment,
-        budget_candidates, produce_result,
-    )
+    try:
+        record = _diff_verdict_record(
+            litmus, arch, label, spec_a, spec_b, source_model, augment,
+            budget_candidates, produce_result,
+        )
+    finally:
+        _WORKER_TOOLCHAIN.cache.clear()
     record["source_simulated"] = cache.misses > misses_before
     return record
 

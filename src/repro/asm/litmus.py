@@ -14,12 +14,30 @@ between them, which ``s2l`` reconstructs from object-file metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
 
 from ..core.errors import MappingError
 from ..core.litmus import LitmusBase
 from .isa.base import Instruction
+
+#: every :class:`Instruction` field, in declaration order — the digest
+#: renders them all (``text`` included: simulation errors quote it)
+_INSTRUCTION_FIELDS = tuple(f.name for f in fields(Instruction))
+_instruction_values = operator.attrgetter(*_INSTRUCTION_FIELDS)
+_OP = _INSTRUCTION_FIELDS.index("op")
+_FENCE_TAGS = _INSTRUCTION_FIELDS.index("fence_tags")
+
+
+def _instruction_key(instr: Instruction) -> list:
+    # the op renders by value (an enum repr is slow) and the fence tags
+    # sorted, so the rendering never depends on the string-hash seed
+    key = list(_instruction_values(instr))
+    key[_OP] = instr.op.value
+    key[_FENCE_TAGS] = sorted(instr.fence_tags)
+    return key
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,43 @@ class AsmLitmus(LitmusBase):
     #: size.  An access at offset ``k`` into region ``s`` names the derived
     #: location ``s+k``; regions are always private.
     regions: Dict[str, int] = field(default_factory=dict)
+
+    def digest(self) -> str:
+        """A stable content digest of this test: every field but ``name``.
+
+        Compilers map many different C tests to one instruction
+        sequence, and a target simulation is a pure function of the
+        program, so the ``simulate-target`` stage keys by this digest
+        and simulates each distinct compiled program once.  Dicts and
+        frozensets render sorted, so the digest is identical across
+        processes and hash seeds.  Cached on the instance, like
+        :meth:`CLitmus.digest`.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            payload = repr((
+                self.arch,
+                sorted(self.init.items()),
+                self.condition,
+                [
+                    (
+                        t.name,
+                        [_instruction_key(i) for i in t.instructions],
+                        sorted(t.observed.items()),
+                        sorted(t.addr_env.items()),
+                    )
+                    for t in self.threads
+                ],
+                sorted(self.widths.items()),
+                sorted(self.const_locations),
+                sorted(self.layout.items()),
+                sorted(self.addr_locations.items()),
+                sorted(self.private_locations),
+                sorted(self.regions.items()),
+            ))
+            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+            self.__dict__["_digest"] = cached
+        return cached
 
     def width_of(self, loc: str) -> int:
         return self.widths.get(loc, 32)

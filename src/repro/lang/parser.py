@@ -178,10 +178,17 @@ class _CParser:
         idx = self.pos + ahead
         return self.tokens[idx] if idx < len(self.tokens) else None
 
+    def _last_line(self) -> int:
+        # at EOF no token is left to point at: blame the last one's line
+        return self.tokens[-1].line if self.tokens else 0
+
+    def _eof(self) -> ParseError:
+        return ParseError("unexpected end of litmus test", self._last_line())
+
     def next(self) -> _Tok:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of litmus test")
+            raise self._eof()
         self.pos += 1
         return tok
 
@@ -194,7 +201,8 @@ class _CParser:
         if tok is None or tok.kind != kind or (text is not None and tok.text != text):
             got = f"{tok.kind} {tok.text!r}" if tok else "EOF"
             raise ParseError(
-                f"expected {text or kind!r}, got {got}", tok.line if tok else 0
+                f"expected {text or kind!r}, got {got}",
+                tok.line if tok else self._last_line(),
             )
         return self.next()
 
@@ -318,7 +326,8 @@ class _CParser:
 
     def parse_stmt(self) -> CStmt:
         tok = self.peek()
-        assert tok is not None
+        if tok is None:
+            raise self._eof()
         if tok.kind == "ident" and tok.text == "if":
             self.next()
             self.expect("op", "(")
@@ -457,7 +466,8 @@ class _CParser:
 
     def parse_primary(self) -> CExpr:
         tok = self.peek()
-        assert tok is not None
+        if tok is None:
+            raise self._eof()
         if tok.kind == "number":
             self.next()
             return IntLit(int(tok.text, 0))

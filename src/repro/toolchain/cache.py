@@ -10,9 +10,11 @@ outcome sets are cached under their content addresses independently, so
   and ``lift`` artifact (only the target simulation and compare re-run);
 * the two branches of a differential cell share one ``prepare`` artifact
   and one source-side ``OutcomeSet``;
-* two profiles that happen to compile a test identically still cache
-  separately (profile identity is part of the key) — soundness over
-  opportunism.
+* two profiles that compile a test identically keep separate
+  ``compile`` and ``lift`` artifacts (profile identity is part of those
+  keys) but share one target simulation: ``simulate-target`` is keyed
+  by the lifted program's content, so any two cells — across profiles
+  or tests — that produce the same program simulate it once.
 
 Exactly-once semantics, error caching and thread safety come from
 :class:`repro.core.cache.KeyedCache`; this module adds the per-stage
@@ -40,7 +42,7 @@ class ArtifactCache:
     only, so a key already cached replays even at capacity.  Sessions
     bound their cache at 4096 entries per stage by default
     (``Session(artifact_cache_entries=...)``); the campaign engine's
-    worker processes use a tighter bound.
+    worker processes :meth:`clear` theirs after every task instead.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -63,6 +65,14 @@ class ArtifactCache:
         ):
             cache.clear()
         return cache.get(key, producer)
+
+    def clear(self) -> None:
+        """Drop every stage's entries; the hit/miss counters keep
+        running."""
+        with self._lock:
+            snapshot = list(self._stages.values())
+        for cache in snapshot:
+            cache.clear()
 
     # ------------------------------------------------------------------ #
     # accounting

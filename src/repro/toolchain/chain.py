@@ -22,7 +22,10 @@ Cache-identity invariants (what makes replaying an artifact sound):
 * an artifact's key is ``(stage name, stage signature, input keys)``
   and the graph's root key is :meth:`CLitmus.digest` — pure *content*
   addresses.  Test names never enter identity, so renamed tests (hunt
-  mutants, reduction outputs, re-generated suites) share artifacts;
+  mutants, reduction outputs, re-generated suites) share artifacts.
+  ``simulate-target`` re-roots at :meth:`AsmLitmus.digest`, the lifted
+  program's content, so two tests (or profiles) that compile to the
+  same program share one target simulation;
 * a stage ``signature()`` must cover every parameter that changes its
   output — model identity enters as what the name resolves to in the
   toolchain's model registry (``model_key``), so a session that shadows
@@ -328,7 +331,7 @@ class Toolchain:
                 "budget": budget,
                 "keep_executions": keep_executions,
             },
-            (target.key,),
+            (target.litmus.digest(),),
             trace,
         )
 

@@ -197,7 +197,13 @@ class SimulateSourceStage(Stage):
 
 
 class SimulateTargetStage(Stage):
-    """herd(C, M_C): enumerate the compiled test under the arch model."""
+    """herd(C, M_C): enumerate the compiled test under the arch model.
+
+    Its input is the lifted program's content digest
+    (:meth:`AsmLitmus.digest`), not the lift artifact's key: the
+    simulation depends on the program alone, so every test that compiles
+    to the same program shares one outcome set.
+    """
 
     name = "simulate-target"
 
@@ -229,7 +235,7 @@ class SimulateTargetStage(Stage):
         return OutcomeSet(
             key=key,
             stage=self.name,
-            inputs=(target.key,),
+            inputs=(target.litmus.digest(),),
             seconds=result.elapsed_seconds,
             result=result,
             side="target",

@@ -128,6 +128,19 @@ exists (P0:r0=5)
         with pytest.raises(ParseError):
             parse_c_litmus(FIG7_SOURCE + "\nextra tokens here")
 
+    @pytest.mark.parametrize("cut", [
+        "  atomic_store_explicit(x, 1, memory_order_relaxed);\n",
+        "  int r0 =\n",
+    ])
+    def test_eof_inside_thread_body_is_a_parse_error(self, cut):
+        """A file that ends mid-thread is bad input (ParseError, so the
+        CLI exits 2), reported at the last token's line, not line 0."""
+        source = "C cut\n{ x=0; }\nP0(atomic_int* x) {\n" + cut
+        with pytest.raises(ParseError) as info:
+            parse_c_litmus(source, name="cut.litmus.c")
+        assert info.value.line == 4
+        assert info.value.render().startswith("cut.litmus.c:4: ")
+
 
 class TestPrinter:
     def test_roundtrip_fig7(self):

@@ -27,6 +27,14 @@ class TestExitCodes:
         assert main(["test", lb_file, "--arch", "aarch64",
                      "--cmem", "rc11+lb"]) == 0
 
+    def test_truncated_test_file_exits_2(self, tmp_path, capsys):
+        """Bad input exits 2 with a file:line diagnostic — never exit 1,
+        which means "positive found"."""
+        path = tmp_path / "cut.litmus.c"
+        path.write_text(FIG7_SOURCE.split("exists")[0].rstrip().rstrip("}"))
+        assert main(["test", str(path), "--arch", "aarch64"]) == 2
+        assert "unexpected end of litmus test" in capsys.readouterr().err
+
     def test_campaign_resume_without_store_is_usage_error(self, capsys):
         assert main(["campaign", "--small", "--resume"]) == 2
         assert "--resume needs --store" in capsys.readouterr().err

