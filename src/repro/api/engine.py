@@ -37,6 +37,16 @@ Invariants the rest of the system builds on:
   Session-local definitions are refused for process pools (workers
   resolve against the globals) and for persistent stores (records key
   by name).
+* **source hoisting** — a test's source simulation runs once per
+  session and source model, on every backend: the session's source cache
+  (keyed by ``_CellContext.source_key_of``) is the one hoisting point.
+  Serial and thread runs call through it; the process backend ships each
+  test's first pending cell without a source, caches the simulation its
+  worker returns, and ships the test's other cells with it attached
+  (:func:`_run_in_pool`).  Workers keep no source cache, so which cell
+  simulates a source depends on the work list alone, and a source that
+  times out or errors is simulated once, its cells all getting the same
+  ``timeout``/``error`` record.
 * **shard determinism** — ``shard=(k, n)`` evaluates exactly every n-th
   cell of the deterministic work list starting at the k-th; the n shard
   reports merge back to the unsharded report byte-for-byte.  Hunt work
@@ -59,7 +69,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import as_completed
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, as_completed, wait
 from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -103,8 +114,8 @@ from .plan import CampaignPlan, PlanError
 #: one tuple shape so replay, events and folding share every code path.
 Cell = Tuple[CLitmus, str, str, str]
 
-#: per-process source caches for the ProcessPoolExecutor backend, keyed by
-#: the campaign parameters that change a source simulation.
+#: always empty: workers keep no source cache, since the parent session's
+#: cache hoists every source (kept for tools that sum worker cache counters)
 _WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
 
 #: per-process staged toolchain.  Its artifact entries live for one pool
@@ -116,52 +127,73 @@ _WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
 _WORKER_TOOLCHAIN = Toolchain()
 
 
-def _pool_cell(task: Tuple) -> Dict[str, object]:
+def _pool_source(
+    source,
+    litmus: CLitmus,
+    source_model: str,
+    augment: bool,
+    budget_candidates: int,
+    landed: List,
+) -> SimulationResult:
+    """The source simulation a pool task evaluates its cell against.
+
+    ``source`` is what the parent shipped (see :func:`_run_in_pool`): the
+    cached simulation, the cached error of a failed one — re-raised, so
+    the cell gets the timeout/error record every backend gives it — or
+    ``None`` for a test's first cell, which simulates here and appends
+    the outcome (result or error) to ``landed`` for the parent to cache.
+    """
+    if isinstance(source, ReproError):
+        raise source
+    if source is not None:
+        return source
+    try:
+        result = simulate_c(
+            prepare(litmus, augment=augment),
+            source_model,
+            budget=Budget(max_candidates=budget_candidates),
+        )
+    except ReproError as exc:
+        landed.append(exc)
+        raise
+    landed.append(result)
+    return result
+
+
+def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
     """Evaluate one campaign cell in a worker process.
 
     Runs the same tool-chain as the in-process path but returns a
     JSON-able verdict record instead of a ``TelechatResult`` — the record
-    is the cross-process (and on-disk) currency.  Each worker process
-    keeps its own source cache; the parent de-duplicates source
-    simulations across workers by cache key.  Worker processes resolve
-    models against the *global* registries — session overlays do not
-    cross the process boundary (the session refuses to try).
+    is the cross-process (and on-disk) currency — paired with the source
+    simulation this task ran, if any (:func:`_pool_source`).  Worker
+    processes resolve models against the *global* registries — session
+    overlays do not cross the process boundary (the session refuses to
+    try).
     """
-    litmus, arch, opt, compiler, source_model, augment, budget_candidates = task
-    cache = _WORKER_SOURCE_CACHES.setdefault(
-        (source_model, augment, budget_candidates), SourceSimCache()
-    )
-    source_key = (litmus.digest(), source_model, augment, budget_candidates)
-
-    def produce_result():
-        source_result = cache.get(
-            source_key,
-            lambda: simulate_c(
-                prepare(litmus, augment=augment),
-                source_model,
-                budget=Budget(max_candidates=budget_candidates),
-            ),
-        )
-        return campaign_mod.test_compilation(
-            litmus,
-            make_profile(compiler, opt, arch),
-            source_model=source_model,
-            augment=augment,
-            budget=Budget(max_candidates=budget_candidates),
-            source_result=source_result,
-            toolchain=_WORKER_TOOLCHAIN,
-        )
-
-    misses_before = cache.misses
+    (litmus, arch, opt, compiler, source_model, augment, budget_candidates,
+     source) = task
+    landed: List = []
     try:
         record = _verdict_record(
             litmus, arch, opt, compiler, source_model, augment,
-            budget_candidates, produce_result,
+            budget_candidates,
+            lambda: campaign_mod.test_compilation(
+                litmus,
+                make_profile(compiler, opt, arch),
+                source_model=source_model,
+                augment=augment,
+                budget=Budget(max_candidates=budget_candidates),
+                source_result=_pool_source(
+                    source, litmus, source_model, augment,
+                    budget_candidates, landed,
+                ),
+                toolchain=_WORKER_TOOLCHAIN,
+            ),
         )
     finally:
         _WORKER_TOOLCHAIN.cache.clear()
-    record["source_simulated"] = cache.misses > misses_before
-    return record
+    return record, (landed[0] if landed else None)
 
 
 def _diff_base_record(
@@ -226,52 +258,128 @@ def _diff_verdict_record(
     return record
 
 
-def _pool_diff_cell(task: Tuple) -> Dict[str, object]:
+def _pool_diff_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
     """Evaluate one differential cell in a worker process (profiles are
     re-parsed against the global registries; the session refuses to send
-    session-local epochs across the process boundary)."""
+    session-local epochs across the process boundary).  The source
+    simulation is the UB oracle, shipped and returned as in
+    :func:`_pool_cell`."""
     (litmus, arch, label, spec_a, spec_b, source_model, augment,
-     budget_candidates) = task
-    cache = _WORKER_SOURCE_CACHES.setdefault(
-        (source_model, augment, budget_candidates), SourceSimCache()
-    )
-    source_key = (litmus.digest(), source_model, augment, budget_candidates)
-
-    def produce_result():
-        source_result = cache.get(
-            source_key,
-            lambda: simulate_c(
-                prepare(litmus, augment=augment),
-                source_model,
-                budget=Budget(max_candidates=budget_candidates),
-            ),
-        )
-        return campaign_mod.run_differential(
-            litmus,
-            parse_profile(spec_a),
-            parse_profile(spec_b),
-            source_model=source_model,
-            augment=augment,
-            budget=Budget(max_candidates=budget_candidates),
-            source_result=source_result,
-            toolchain=_WORKER_TOOLCHAIN,
-        )
-
-    misses_before = cache.misses
+     budget_candidates, source) = task
+    landed: List = []
     try:
         record = _diff_verdict_record(
             litmus, arch, label, spec_a, spec_b, source_model, augment,
-            budget_candidates, produce_result,
+            budget_candidates,
+            lambda: campaign_mod.run_differential(
+                litmus,
+                parse_profile(spec_a),
+                parse_profile(spec_b),
+                source_model=source_model,
+                augment=augment,
+                budget=Budget(max_candidates=budget_candidates),
+                source_result=_pool_source(
+                    source, litmus, source_model, augment,
+                    budget_candidates, landed,
+                ),
+                toolchain=_WORKER_TOOLCHAIN,
+            ),
         )
     finally:
         _WORKER_TOOLCHAIN.cache.clear()
-    record["source_simulated"] = cache.misses > misses_before
-    return record
+    return record, (landed[0] if landed else None)
+
+
+def _run_in_pool(
+    pending: List[Tuple[int, Cell]],
+    plan: CampaignPlan,
+    ctx: "_CellContext",
+    pool_task,
+    pool_fn,
+) -> Iterator[Tuple[int, Cell, Dict[str, object]]]:
+    """The process backend of :func:`_run_pending`, hoisting each source
+    simulation into the session's source cache like the other backends.
+
+    The first pending cell of each test (work-list order) ships with no
+    source and simulates it in its worker, which hands the simulation
+    back beside the record; the parent caches it under
+    ``ctx.source_key_of`` and only then ships the test's held cells, each
+    with the cached simulation (or its cached timeout/error) attached.
+    So which cell simulates a source depends on the work list alone,
+    never on scheduling, and a failing source is simulated once.  A first
+    cell that lands no simulation (it crashed, or failed before reaching
+    the source) passes the role to the next held cell — the
+    :class:`~repro.core.cache.KeyedCache` retry rule.
+    """
+    #: source key -> cells waiting for that source's first cell to land
+    held: Dict[Tuple, List[Tuple[int, Cell]]] = {}
+    #: future -> (index, item, source key if it is a first cell else None)
+    futures: Dict = {}
+    to_ship: deque = deque(pending)
+    first_error: Optional[BaseException] = None
+
+    with campaign_mod.ProcessPoolExecutor(max_workers=plan.processes) as pool:
+
+        def ship() -> List:
+            """Submit (or hold) every cell in ``to_ship``; the new futures."""
+            nonlocal first_error
+            submitted = []
+            while to_ship:
+                index, item = to_ship.popleft()
+                key = ctx.source_key_of(item[0])
+                if key in held:
+                    held[key].append((index, item))
+                    continue
+                first = key not in ctx.source_cache
+                source: object = None
+                if not first:
+                    try:  # a cache hit: replays the result or its error
+                        source = ctx.simulate_source(item[0])
+                    except ReproError as exc:
+                        source = exc
+                try:
+                    future = pool.submit(pool_fn, pool_task(*item, source))
+                except Exception as exc:  # e.g. a broken pool
+                    first_error = first_error or exc
+                    continue
+                if first:
+                    held[key] = []
+                futures[future] = (index, item, key if first else None)
+                submitted.append(future)
+            return submitted
+
+        try:
+            outstanding = set(ship())
+            while outstanding:
+                done, outstanding = wait(
+                    outstanding, return_when=FIRST_COMPLETED
+                )
+                for future in sorted(done, key=lambda f: futures[f][0]):
+                    index, item, key = futures[future]
+                    record = landed = None
+                    try:
+                        record, landed = future.result()
+                    except Exception as exc:
+                        first_error = first_error or exc
+                    if key is not None:
+                        if landed is not None:
+                            ctx.seed_source(key, landed)
+                        to_ship.extend(held.pop(key))
+                        outstanding.update(ship())
+                    if record is not None:
+                        yield index, item, record
+        finally:
+            # an abandoned stream cancels everything still queued
+            for future in futures:
+                future.cancel()
+    if first_error is not None:
+        raise first_error
 
 
 def _run_pending(
     pending: List[Tuple[int, Cell]],
     plan: CampaignPlan,
+    ctx: "_CellContext",
     evaluate,
     pool_task,
     pool_fn,
@@ -281,7 +389,9 @@ def _run_pending(
     mode shares.
 
     Invariants: records arrive in *completion* order (events carry their
-    deterministic index, so folding is order-independent); in the pool
+    deterministic index, so folding is order-independent); every backend
+    hoists source simulations through the session's source cache (the
+    process pool as :func:`_run_in_pool` describes); in the pool
     branches an unexpected exception from one cell never discards the
     verdicts of cells that still ran (everything streams, then the first
     failure re-raises); a consumer that abandons the stream early cancels
@@ -289,31 +399,11 @@ def _run_pending(
     already running.  Serial execution propagates failures immediately,
     the historical behaviour.
     """
-    first_error: Optional[BaseException] = None
     if pending and plan.processes > 0:
-        with campaign_mod.ProcessPoolExecutor(
-            max_workers=plan.processes
-        ) as pool:
-            future_map = {}
-            try:
-                for index, item in pending:
-                    future_map[pool.submit(pool_fn, pool_task(*item))] = (
-                        index, item
-                    )
-                for future in as_completed(future_map):
-                    index, item = future_map[future]
-                    try:
-                        record = future.result()
-                    except Exception as exc:
-                        first_error = (
-                            first_error if first_error is not None else exc
-                        )
-                        continue
-                    yield index, item, record
-            finally:
-                for future in future_map:
-                    future.cancel()
-    elif pending and plan.workers > 1:
+        yield from _run_in_pool(pending, plan, ctx, pool_task, pool_fn)
+        return
+    first_error: Optional[BaseException] = None
+    if pending and plan.workers > 1:
         # the with-block shuts the pool down even when an unexpected
         # exception escapes future.result(), so workers never leak
         with campaign_mod.ThreadPoolExecutor(
@@ -335,7 +425,8 @@ def _run_pending(
                         continue
                     yield index, item, record
             finally:
-                for future in future_map:  # see the process branch
+                # an abandoned stream cancels everything still queued
+                for future in future_map:
                     future.cancel()
     else:
         for index, item in pending:
@@ -348,11 +439,12 @@ class _CellContext:
     """The tv-cell evaluation context campaign and hunt runs share.
 
     Owns the session-resolved cache identity (model/arch/epoch
-    signatures, stage token — the PR 2 rule: verdicts key by what names
-    *resolve to*, never names alone), the hoisted source simulation, and
-    the two faces of one tv cell: the in-process ``evaluate`` (through
-    the session's result cache and toolchain) and the ``pool_task``
-    tuple the process backend ships to :func:`_pool_cell`.
+    signatures, stage token: verdicts key by what names *resolve to*,
+    never names alone), the hoisted source simulation (computed here,
+    or seeded from a pool worker), and the two faces of one tv cell: the
+    in-process ``evaluate`` (through the session's result cache and
+    toolchain) and the ``pool_task`` tuple the process backend ships to
+    :func:`_pool_cell`.
     """
 
     def __init__(self, plan: CampaignPlan, session) -> None:
@@ -418,6 +510,20 @@ class _CellContext:
 
         return self.source_cache.get(key, produce)
 
+    def seed_source(self, key: Tuple, landed) -> None:
+        """Cache a source simulation a pool worker ran — its result or
+        its :class:`ReproError` — as if :meth:`simulate_source` had."""
+        def produce() -> SimulationResult:
+            self.simulated_sources.add(key)
+            if isinstance(landed, ReproError):
+                raise landed
+            return landed
+
+        try:
+            self.source_cache.get(key, produce)
+        except ReproError:
+            pass  # cached for replay; the first cell's record has it
+
     # -- one tv cell, three faces -------------------------------------- #
     def run_cell(self, litmus: CLitmus, arch: str, opt: str, compiler: str):
         # the session's epoch overlay decides which compiler bugs this
@@ -452,10 +558,10 @@ class _CellContext:
         )
 
     def pool_task(
-        self, litmus: CLitmus, arch: str, opt: str, compiler: str
+        self, litmus: CLitmus, arch: str, opt: str, compiler: str, source
     ) -> Tuple:
         return (litmus, arch, opt, compiler, self.source_model, self.augment,
-                self.budget_candidates)
+                self.budget_candidates, source)
 
 
 def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:
@@ -613,12 +719,14 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             )
         return ctx.evaluate(litmus, arch, opt, compiler)
 
-    def pool_task(litmus: CLitmus, arch: str, opt: str, compiler: str) -> Tuple:
+    def pool_task(
+        litmus: CLitmus, arch: str, opt: str, compiler: str, source
+    ) -> Tuple:
         if differential:
             spec_a, _, spec_b, _ = pair_map[compiler]
             return (litmus, arch, compiler, spec_a, spec_b, source_model,
-                    augment, budget_candidates)
-        return ctx.pool_task(litmus, arch, opt, compiler)
+                    augment, budget_candidates, source)
+        return ctx.pool_task(litmus, arch, opt, compiler, source)
 
     pool_fn = _pool_diff_cell if differential else _pool_cell
 
@@ -690,13 +798,11 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
 
         # evaluate the cells the store could not answer (see
         # _run_pending for the error/cancellation contract)
-        producer = _run_pending(pending, plan, evaluate, pool_task, pool_fn)
+        producer = _run_pending(
+            pending, plan, ctx, evaluate, pool_task, pool_fn
+        )
         try:
             for index, item, record in producer:
-                if record.get("source_simulated"):
-                    # a worker process simulated this source; fold it
-                    # into the run's de-duplicated source-sim tally
-                    ctx.simulated_sources.add(ctx.source_key_of(item[0]))
                 yield finish(index, item, record)
         finally:
             # a consumer that abandons the stream early (fuzzing loops
@@ -877,12 +983,10 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
                 yield cell_event(index, item, record, True)
 
             producer = _run_pending(
-                pending, plan, ctx.evaluate, ctx.pool_task, _pool_cell
+                pending, plan, ctx, ctx.evaluate, ctx.pool_task, _pool_cell
             )
             try:
                 for index, item, record in producer:
-                    if record.get("source_simulated"):
-                        ctx.simulated_sources.add(ctx.source_key_of(item[0]))
                     record = annotate(record, item[0].digest())
                     if store is not None:
                         store.put(record)

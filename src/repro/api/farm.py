@@ -21,6 +21,7 @@ import os
 import time
 from typing import Dict, Iterator, List, Tuple
 
+from ..lang.ast import CLitmus
 from ..pipeline.farm import (
     BaselineSpec,
     FarmError,
@@ -100,14 +101,21 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
     total_cells = 0
     total_drift = 0
     blessed_files = 0
+    # each suite is parsed once and shared by its baseline cells
+    # (``selected`` is sorted by suite, so one parsed suite is alive)
+    suite_name = ""
+    tests: Tuple[CLitmus, ...] = ()
     for spec in selected:
         profile = session.profile(spec.profile)
         model = (
             plan.source_model if plan.source_model is not None else spec.model
         )
         suite = verified[spec.suite]
+        if spec.suite != suite_name:
+            suite_name = spec.suite
+            tests = tuple(SuiteSource(manifest.path(suite.file)))
         campaign = CampaignPlan(
-            tests=SuiteSource(manifest.path(suite.file)),
+            tests=tests,
             arches=(profile.arch,),
             opts=(profile.opt,),
             compilers=(profile.compiler,),

@@ -6,7 +6,7 @@ and by examples/tests for round-tripping.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from ..core.events import MemoryOrder
 from .ast import (
@@ -102,11 +102,26 @@ def print_stmt(stmt: CStmt, indent: int = 1) -> List[str]:
     raise TypeError(f"cannot print {stmt!r}")
 
 
-def print_thread(thread: CThread) -> str:
-    params = ", ".join(
-        f"atomic_int* {p}" if p in thread.atomic_params else f"int* {p}"
-        for p in thread.params
-    )
+#: parameter pointee types by location width, (atomic, plain) — each one
+#: the parser maps back to the same width
+_PARAM_TYPES = {
+    8: ("atomic_char", "char"),
+    16: ("atomic_int16_t", "short"),
+    32: ("atomic_int", "int"),
+    64: ("atomic_long", "long"),
+    128: ("atomic_int128", "__int128"),
+}
+
+
+def print_thread(thread: CThread, widths: Dict[str, int]) -> str:
+    """Render one thread; ``widths`` (the test's location widths) types
+    each pointer parameter, so a 128-bit location re-parses as one."""
+
+    def param(name: str) -> str:
+        atomic, plain = _PARAM_TYPES[widths.get(name, 32)]
+        return f"{atomic if name in thread.atomic_params else plain}* {name}"
+
+    params = ", ".join(param(p) for p in thread.params)
     lines = [f"void {thread.name}({params}) {{"]
     for stmt in thread.body:
         lines.extend(print_stmt(stmt))
@@ -119,7 +134,7 @@ def print_c_litmus(litmus: CLitmus) -> str:
     init = " ".join(f"*{loc} = {val};" for loc, val in sorted(litmus.init.items()))
     parts = [f"C {litmus.name}", "{ " + init + " }", ""]
     for thread in litmus.threads:
-        parts.append(print_thread(thread))
+        parts.append(print_thread(thread, litmus.widths))
         parts.append("")
     parts.append(str(litmus.condition))
     return "\n".join(parts)
@@ -159,7 +174,7 @@ def print_c_program(litmus: CLitmus) -> str:
         lines.append(f"{qualifier}{ctype} {loc} = {val};")
     lines.append("")
     for thread in litmus.threads:
-        lines.append(print_thread(thread))
+        lines.append(print_thread(thread, litmus.widths))
         lines.append("")
     lines.append(f"// {litmus.condition}")
     return "\n".join(lines)

@@ -31,13 +31,17 @@ Mirrors the paper artefact's Makefile entry points:
   inventory listings (``--json`` for registry metadata).
 
 Every command drives a :class:`repro.api.Session`; the CLI holds no
-state of its own.
+state of its own.  Exit code 2 is reserved for bad input — a file that
+is missing, unreadable or malformed, or a name that resolves to nothing
+— with a one-line diagnostic on stderr, so it can never be mistaken for
+exit 1 ("positive found").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -99,14 +103,30 @@ def _cmd_test(args: argparse.Namespace) -> int:
     return 1 if result.found_bug else 0
 
 
+def _is_path(spec: str) -> bool:
+    """Whether a command-line target names a file: one exists there, or
+    it is spelled like one (a directory part or a suffix — no model,
+    paper-test or shape name has either), so a missing file is reported
+    as such instead of as an unknown name."""
+    return (
+        os.path.exists(spec)
+        or os.sep in spec
+        or bool(os.path.splitext(spec)[1])
+    )
+
+
+def _unresolved(message: str) -> SystemExit:
+    """Report a target that names nothing (exit 2: bad input)."""
+    print(message, file=sys.stderr)
+    return SystemExit(2)
+
+
 def _resolve_test_arg(session: Session, spec: str):
     """A test named on the command line: a C litmus file path, a paper
     figure name (``fig7_lb``), or a diy shape name (``LB``)."""
-    import os
-
     from .. import papertests
 
-    if os.path.exists(spec):
+    if _is_path(spec):
         with open(spec) as handle:
             return parse_c_litmus(handle.read(), name=spec)
     factory = getattr(papertests, spec, None)
@@ -115,8 +135,8 @@ def _resolve_test_arg(session: Session, spec: str):
     try:
         shape = session.shape(spec)
     except KeyError:
-        raise SystemExit(
-            f"cannot resolve test {spec!r}: not a file, not a "
+        raise _unresolved(
+            f"{spec}: cannot resolve test: not a file, not a "
             f"repro.papertests name, not a diy shape"
         )
     # a real generation failure propagates — masking it as "cannot
@@ -325,7 +345,7 @@ def _cmd_farm_diff(args: argparse.Namespace) -> int:
     try:
         blessed = read_baseline(args.blessed)
         current = read_baseline(args.current)
-    except (OSError, SuiteFormatError) as exc:
+    except SuiteFormatError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     diff = diff_baselines(
@@ -487,12 +507,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _lint_target(session: Session, spec: str):
     """One ``telechat lint`` target: a ``.cat`` or litmus file path, a
     model name, a paper-test name, or a diy shape name."""
-    import os
-
     from .. import papertests
     from ..analysis import lint_c_source, lint_cat_source, lint_litmus_report
 
-    if os.path.exists(spec):
+    if _is_path(spec):
         with open(spec) as handle:
             source = handle.read()
         if spec.endswith(".cat"):
@@ -510,8 +528,8 @@ def _lint_target(session: Session, spec: str):
     try:
         shape = session.shape(spec)
     except KeyError:
-        raise SystemExit(
-            f"cannot resolve lint target {spec!r}: not a file, not a "
+        raise _unresolved(
+            f"{spec}: cannot resolve lint target: not a file, not a "
             f"model, not a repro.papertests name, not a diy shape"
         )
     return lint_litmus_report(build_test(shape, "rlx", name=spec))
@@ -875,6 +893,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except LintError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a missing or unreadable input (or output) path
+        where = exc.filename if exc.filename is not None else "telechat"
+        print(f"{where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -60,9 +60,11 @@ class CampaignStore:
 
     One record per line; loading replays the log with last-write-wins,
     so re-recording a cell simply supersedes the old verdict.  A torn
-    final line (crashed writer) is ignored rather than poisoning the
-    whole store.  Appends are thread-safe; cross-process writers should
-    use one store file per shard and merge reports, not share a file.
+    final line (crashed writer) is cut off when the store opens — counted
+    in ``skipped``, never appended onto — so the next :meth:`put` starts
+    a fresh line and no stored verdict is lost to the fragment.  Appends
+    are thread-safe; cross-process writers should use one store file per
+    shard and merge reports, not share a file.
     """
 
     def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
@@ -73,7 +75,31 @@ class CampaignStore:
         self.skipped = 0
         self.appended = 0
         if os.path.exists(self.path):
+            self._repair_tail()
             self._load()
+
+    def _repair_tail(self) -> None:
+        """Make the file end in a newline: a final line without one is
+        a crashed writer's work — kept (newline added) if it is a whole
+        JSON value, truncated away otherwise."""
+        with open(self.path, "rb") as handle:
+            if handle.seek(0, os.SEEK_END) == 0:
+                return
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) == b"\n":
+                return  # the common case: no write access needed
+            handle.seek(0)
+            data = handle.read()
+        start = data.rfind(b"\n") + 1
+        with open(self.path, "rb+") as handle:
+            try:
+                json.loads(data[start:])
+            except ValueError:
+                handle.truncate(start)
+                self.skipped += 1
+            else:
+                handle.seek(0, os.SEEK_END)
+                handle.write(b"\n")
 
     def _load(self) -> None:
         with open(self.path, "r", encoding="utf-8") as handle:
@@ -84,7 +110,6 @@ class CampaignStore:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
-                    # a torn trailing line from a crashed writer
                     self.skipped += 1
                     continue
                 if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:

@@ -2,7 +2,9 @@
 stream↔batch parity guarantee."""
 
 import json
+import multiprocessing
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +16,13 @@ from repro.api import (
     PlanError,
     Session,
     ShardMerged,
+    engine,
     fold_events,
 )
 from repro.cat.registry import MODELS, get_source
+from repro.papertests import all_tests, fig7_lb
 from repro.pipeline.campaign import ResultCache, SourceSimCache, run_campaign
+from repro.tools.mcompare import baseline_view
 from repro.tools.diy import DiyConfig, build_test, get_shape
 
 CONFIG = DiyConfig(
@@ -239,6 +244,82 @@ class TestParity:
                {k: vars(v) for k, v in single.cells.items()}
         assert sorted(merged.positives) == sorted(single.positives)
         assert merged.source_simulations == single.source_simulations
+
+
+class TestProcessSourceHoisting:
+    """The process backend hoists source simulations through the
+    session's source cache exactly as the serial engine does: the first
+    cell of each test simulates its source in a worker, every other cell
+    is shipped the cached result."""
+
+    PLAN = CampaignPlan(
+        tests=tuple(all_tests()), arches=("aarch64", "armv7"),
+        opts=("-O2",), compilers=("llvm",),
+    )
+
+    @staticmethod
+    def run(plan, session=None):
+        session = session if session is not None else Session()
+        events = list(session.campaign(plan))
+        finished = events[-1]
+        assert isinstance(finished, CampaignFinished)
+        records = {
+            e.index: baseline_view(e.record)
+            for e in events if isinstance(e, CellFinished)
+        }
+        report = fold_events(events).to_jsonable(include_timing=False)
+        report["processes"] = 0  # honest run metadata, not a result
+        return session, finished, records, report
+
+    def test_multi_profile_campaign_matches_serial(self):
+        _, serial, serial_records, serial_report = self.run(self.PLAN)
+        session, pooled, pooled_records, pooled_report = self.run(
+            replace(self.PLAN, processes=2)
+        )
+        assert pooled.source_sim_keys == serial.source_sim_keys
+        assert len(pooled.source_sim_keys) == len(self.PLAN.tests)
+        assert pooled_records == serial_records
+        assert pooled_report == serial_report
+        # one simulation per test, replayed to its other profile's cell
+        assert session.source_cache.misses == len(self.PLAN.tests)
+        assert session.source_cache.hits == len(self.PLAN.tests)
+
+    def test_second_pooled_campaign_simulates_no_source(self):
+        plan = replace(self.PLAN, processes=2)
+        session, _, first_records, _ = self.run(plan)
+        _, again, records, report = self.run(plan, session)
+        assert again.source_sim_keys == frozenset()
+        assert report["source_simulations"] == 0
+        assert records == first_records
+
+    def test_timed_out_source_is_simulated_once(self, tmp_path, monkeypatch):
+        """A source over its budget is simulated once per campaign on
+        either backend, and every cell of it gets the same ``timeout``
+        record (worker calls are counted in a file: forked workers
+        inherit the counting wrapper)."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("counting worker calls needs forked workers")
+        calls = tmp_path / "calls"
+        real = engine.simulate_c
+
+        def counting(*args, **kwargs):
+            with open(calls, "a") as handle:
+                handle.write("x")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate_c", counting)
+        plan = replace(self.PLAN, tests=(fig7_lb(),), budget_candidates=1)
+        outcomes = []
+        for processes in (0, 2):
+            calls.write_text("")
+            _, finished, records, report = self.run(
+                replace(plan, processes=processes)
+            )
+            assert calls.read_text() == "x"
+            assert len(finished.source_sim_keys) == 1
+            assert {r["status"] for r in records.values()} == {"timeout"}
+            outcomes.append((records, report))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestFarmParity:

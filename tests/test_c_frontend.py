@@ -17,7 +17,15 @@ from repro.lang.ast import (
     While,
 )
 from repro.lang.semantics import elaborate
-from repro.papertests import FIG1_SOURCE, FIG7_SOURCE, fig1_exchange, fig7_lb
+from repro.papertests import (
+    FIG1_SOURCE,
+    FIG7_SOURCE,
+    all_tests,
+    atomics_128,
+    fig1_exchange,
+    fig7_lb,
+)
+from repro.tools.mutate import iter_mutants
 
 
 class TestParser:
@@ -156,6 +164,34 @@ class TestPrinter:
         printed = print_c_litmus(litmus)
         reparsed = parse_c_litmus(printed, litmus.name)
         assert str(reparsed.condition) == str(litmus.condition)
+
+    @pytest.mark.parametrize(
+        "litmus", all_tests(), ids=lambda litmus: litmus.name
+    )
+    def test_print_parse_keeps_digest(self, litmus):
+        reparsed = parse_c_litmus(print_c_litmus(litmus), litmus.name)
+        assert reparsed.widths == litmus.widths
+        assert reparsed.digest() == litmus.digest()
+
+    def test_128_bit_parameters_keep_their_width(self):
+        printed = print_c_litmus(atomics_128())
+        assert "atomic_int128* x, atomic_int* y" in printed
+
+    def test_atomics_128_hunt_mutants_keep_digest(self):
+        """Hunt store records carry reproducers as printed source, so
+        every mutant a hunt can reach from the 128-bit seed (two
+        rounds deep here) must re-parse to the same test."""
+        frontier = [atomics_128()]
+        mutants = {}
+        for _ in range(2):
+            frontier = [
+                m.litmus for seed in frontier for m in iter_mutants(seed)
+                if m.litmus.digest() not in mutants
+            ]
+            mutants.update((t.digest(), t) for t in frontier)
+        assert len(mutants) > 20
+        for digest, mutant in mutants.items():
+            assert parse_c_litmus(print_c_litmus(mutant)).digest() == digest
 
 
 class TestSemantics:

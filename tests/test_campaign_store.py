@@ -232,6 +232,40 @@ class TestStore:
         assert len(recovered) == intact
         assert recovered.skipped == 1
 
+    def test_resume_after_torn_tail_keeps_every_record(self, tmp_path):
+        """A writer that crashed mid-append leaves a torn final line;
+        opening the store cuts it off, so the resumed campaign's append
+        starts a fresh line and a reload sees every record."""
+        from repro.api import CampaignPlan, Session
+        from repro.papertests import all_tests
+
+        path = tmp_path / "campaign.jsonl"
+        plan = CampaignPlan(
+            tests=tuple(all_tests()), arches=("aarch64",), opts=("-O2",),
+            compilers=("llvm", "gcc"), resume=True,
+        )
+        Session(store=CampaignStore(path)).run(plan)
+        data = path.read_bytes()
+        assert data.count(b"\n") == 14
+        path.write_bytes(data[:-40])  # the last record, cut mid-line
+
+        session = Session(store=CampaignStore(path))
+        assert len(session.store) == 13 and session.store.skipped == 1
+        report = session.run(plan)
+        assert report.store_hits == 13 and session.store.appended == 1
+
+        reloaded = CampaignStore(path)
+        assert len(reloaded) == 14 and reloaded.skipped == 0
+
+    def test_whole_final_record_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        small_run(store=path)
+        intact = len(CampaignStore(path))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        repaired = CampaignStore(path)
+        assert len(repaired) == intact and repaired.skipped == 0
+        assert path.read_bytes().endswith(b"}\n")
+
     def test_foreign_schema_records_are_skipped(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

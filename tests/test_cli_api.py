@@ -40,6 +40,50 @@ class TestExitCodes:
         assert "--resume needs --store" in capsys.readouterr().err
 
 
+#: (command line, the path the diagnostic must name) for every command
+#: that reads an input file; ``{missing}`` does not exist and ``{dir}``
+#: is a directory, so neither can be read
+IO_ERROR_CASES = [
+    (["test", "{missing}", "--arch", "aarch64"], "{missing}"),
+    (["test", "{dir}", "--arch", "aarch64"], "{dir}"),
+    (["explain", "{missing}"], "{missing}"),
+    (["reduce", "{missing}"], "{missing}"),
+    (["lint", "{missing_cat}"], "{missing_cat}"),
+    (["lint", "{dir}"], "{dir}"),
+    (["farm", "diff", "{missing}", "{missing}"], "{missing}"),
+    (["farm", "diff", "{baseline}", "{missing}"], "{missing}"),
+]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, path", IO_ERROR_CASES)
+    def test_unreadable_input_exits_2_with_one_line(
+        self, tmp_path, capsys, argv, path
+    ):
+        """A missing or unreadable input is exit 2 with one
+        ``path: message`` line — no traceback, and never exit 1, which
+        means "positive found"."""
+        baseline = tmp_path / "blessed.jsonl"
+        baseline.write_text("")
+        paths = {
+            "missing": str(tmp_path / "missing.litmus"),
+            "missing_cat": str(tmp_path / "missing.cat"),
+            "dir": str(tmp_path),
+            "baseline": str(baseline),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(path.format(**paths) + ": ")
+
+    @pytest.mark.parametrize("command", ["explain", "reduce", "lint"])
+    def test_unknown_name_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "no-such-target-anywhere"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("no-such-target-anywhere: ")
+
+
 class TestJsonInventories:
     def test_models_json(self, capsys):
         assert main(["models", "--json"]) == 0

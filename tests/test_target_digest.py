@@ -210,25 +210,49 @@ class TestWorkerScope:
     @pytest.mark.parametrize("order", [("LB001", "LB009"),
                                        ("LB009", "LB001")])
     def test_pool_cell_clears_artifacts_after_each_task(
-        self, lb_tests, order, monkeypatch
+        self, lb_tests, order
     ):
         """Which cells share a worker depends on scheduling, so a worker
         keeps no artifact past its task: two cells with one program
-        simulate it twice, in either order."""
-        # the source caches outlive tasks by design; keep this process's
-        # out of reach of the process pools later tests fork from it
-        monkeypatch.setattr(engine, "_WORKER_SOURCE_CACHES", {})
+        simulate it twice, in either order.  Each task here is its
+        test's first cell, so it ships no source and hands the source
+        simulation back beside its record."""
         profile = parse_profile(PROFILE)
         plan = CampaignPlan(tests=[])
         cache = engine._WORKER_TOOLCHAIN.cache
         before = cache.misses("simulate-target")
         for name in order:
-            record = engine._pool_cell((
+            record, landed = engine._pool_cell((
                 lb_tests[name], profile.arch, profile.opt, profile.compiler,
                 plan.source_model, plan.augment, plan.budget_candidates,
+                None,
             ))
             assert record["status"] == "ok" and record["test"] == name
+            assert landed.test_name == name
             assert all(
                 stage["entries"] == 0 for stage in cache.stats().values()
             )
         assert cache.misses("simulate-target") == before + 2
+        assert engine._WORKER_SOURCE_CACHES == {}
+
+    def test_pool_cell_with_shipped_source_simulates_no_source(
+        self, lb_tests, monkeypatch
+    ):
+        """A cell shipped its test's cached source simulation evaluates
+        against it: no source simulation runs in the worker, none is
+        handed back, and the record matches the first cell's."""
+        profile = parse_profile(PROFILE)
+        plan = CampaignPlan(tests=[])
+        task = (
+            lb_tests["LB001"], profile.arch, profile.opt, profile.compiler,
+            plan.source_model, plan.augment, plan.budget_candidates,
+        )
+        first, landed = engine._pool_cell(task + (None,))
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the shipped source was re-simulated")
+
+        monkeypatch.setattr(engine, "simulate_c", no_simulation)
+        again, nothing = engine._pool_cell(task + (landed,))
+        assert nothing is None
+        assert baseline_view(again) == baseline_view(first)
