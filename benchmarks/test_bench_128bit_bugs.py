@@ -16,7 +16,7 @@ from benchmarks._report import banner, row
 from repro.compiler import make_profile
 from repro.lang.parser import parse_c_litmus
 from repro.papertests import atomics_128
-from repro.pipeline import test_compilation
+from repro.pipeline import run_test_tv
 
 STP_ENDIAN = """
 C stp_endian
@@ -45,11 +45,11 @@ def test_bench_128bit_bugs(benchmark):
 
     # [37] LDP seq_cst reordering
     ldp = benchmark(
-        test_compilation,
+        run_test_tv,
         atomics_128(),
         make_profile("llvm", "-O2", "aarch64", version=16, v84=True),
     )
-    ldp_fixed = test_compilation(
+    ldp_fixed = run_test_tv(
         atomics_128(),
         make_profile("llvm", "-O2", "aarch64", version=17, v84=True),
     )
@@ -57,7 +57,7 @@ def test_bench_128bit_bugs(benchmark):
     row("[37] with GCC-style barriers (fixed)", "no bug", ldp_fixed.verdict)
 
     # [39] wrong-endian STP
-    endian = test_compilation(
+    endian = run_test_tv(
         parse_c_litmus(STP_ENDIAN, "stp_endian"),
         make_profile("llvm", "-O2", "aarch64", version=16, v84=True),
     )
@@ -66,11 +66,11 @@ def test_bench_128bit_bugs(benchmark):
         str((1 << 64) in flipped))
 
     # [36] const atomic load crash
-    const_v80 = test_compilation(
+    const_v80 = run_test_tv(
         parse_c_litmus(CONST_LOAD, "const_load"),
         make_profile("llvm", "-O2", "aarch64", version=16, v84=False),
     )
-    const_fixed = test_compilation(
+    const_fixed = run_test_tv(
         parse_c_litmus(CONST_LOAD, "const_load"),
         make_profile("llvm", "-O2", "aarch64", version=17, v84=True),
     )

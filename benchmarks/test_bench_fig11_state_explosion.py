@@ -23,7 +23,6 @@ from repro.compiler import make_profile
 from repro.core.errors import SimulationTimeout
 from repro.herd import Budget, exhaustive_stages, simulate_asm
 from repro.papertests import fig11_lb3
-from repro.pipeline import test_compilation
 from repro.tools import S2LStats, assembly_to_litmus, compile_and_disassemble, prepare
 
 

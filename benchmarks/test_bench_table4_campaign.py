@@ -15,8 +15,8 @@ Paper claims reproduced in shape:
 import pytest
 from benchmarks._report import banner, row
 
+from repro.api import CampaignPlan, Session
 from repro.core.events import MemoryOrder
-from repro.pipeline.campaign import run_campaign
 from repro.tools.diy import DiyConfig
 
 CONFIG = DiyConfig(
@@ -30,17 +30,21 @@ ARCHES = ("aarch64", "armv7", "riscv64", "ppc64", "x86_64", "mips64")
 OPTS = ("-O1", "-O2")
 
 
+def run_plan(**plan_fields):
+    return Session().run(CampaignPlan(**plan_fields))
+
+
 @pytest.fixture(scope="module")
 def rc11_report():
-    return run_campaign(config=CONFIG, arches=ARCHES, opts=OPTS,
-                        compilers=("llvm", "gcc"), source_model="rc11")
+    return run_plan(config=CONFIG, arches=ARCHES, opts=OPTS,
+                    compilers=("llvm", "gcc"), source_model="rc11")
 
 
 def test_bench_table4_campaign(benchmark, rc11_report):
     small = DiyConfig(shapes=("LB",), orders=("rlx",), fences=(None,),
                       deps=("po",), variants=("load-store",))
     benchmark(
-        run_campaign, config=small, arches=("aarch64",), opts=("-O2",),
+        run_plan, config=small, arches=("aarch64",), opts=("-O2",),
         compilers=("llvm",), source_model="rc11",
     )
 
@@ -73,9 +77,9 @@ def test_bench_table4_campaign(benchmark, rc11_report):
 
 def test_bench_table4_claim4_rc11_lb(rc11_report):
     """All positive differences disappear under rc11+lb."""
-    report = run_campaign(config=CONFIG, arches=("aarch64", "armv7"),
-                          opts=OPTS, compilers=("llvm", "gcc"),
-                          source_model="rc11+lb")
+    report = run_plan(config=CONFIG, arches=("aarch64", "armv7"),
+                      opts=OPTS, compilers=("llvm", "gcc"),
+                      source_model="rc11+lb")
     banner("Table IV / Claim 4: re-run under rc11+lb")
     row("positives under rc11", "> 0",
         str(rc11_report.total_positive("aarch64")

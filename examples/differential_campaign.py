@@ -58,7 +58,6 @@ def armv7_ctrl_campaign() -> Session:
         config=config,
         mode="differential",
         profiles=("gcc-O2-ARM", "gcc-O1-ARM"),
-        workers=2,
     )
     stream = session.campaign(plan)
     for event in stream:

@@ -29,9 +29,9 @@ def nightly_campaign() -> None:
         deps=("po", "data", "ctrl2"),
         variants=("load-store",),
     )
-    # one session for the whole nightly run: its caches simulate each
-    # test's source side once per source model, and a re-run of an
-    # unchanged cell is free
+    # one session for the whole nightly run: its source cache simulates
+    # each test's source side once per source model, whichever worker
+    # process evaluates the test's cells
     session = Session()
     plan = CampaignPlan(
         config=config,
@@ -39,7 +39,7 @@ def nightly_campaign() -> None:
         opts=("-O1", "-O2"),
         compilers=("llvm", "gcc"),
         source_model="rc11",
-        workers=4,
+        processes=2,
     )
     # consume the event stream live — a dashboard would ingest these;
     # stream.report() folds whatever ran into the batch Table IV
@@ -55,7 +55,7 @@ def nightly_campaign() -> None:
     print(report.table())
     print(f"\nsource simulations: {report.source_simulations} "
           f"for {report.compiled_tests} cells "
-          f"({report.workers} workers)")
+          f"({report.processes} worker processes)")
     print("\npositives drill-down (first 8):")
     for test, arch, opt, compiler in report.positives[:8]:
         print(f"  {test:12s} {compiler}{opt} -> {arch}")
@@ -67,7 +67,7 @@ def nightly_campaign() -> None:
             opts=("-O1", "-O2"),
             compilers=("llvm", "gcc"),
             source_model="rc11+lb",
-            workers=4,
+            processes=2,
         )
     )
     print(f"  positive differences: {relaxed.total_positive()} "

@@ -3,16 +3,15 @@
 * :class:`Session` — owns per-session registries (models, shapes, ISAs,
   compiler epochs, baselines — as overlays over the shipped globals),
   caches, budgets and an optional persistent store;
-* :class:`CampaignPlan` — the frozen, validated campaign description
-  that replaced ``run_campaign``'s sixteen keyword arguments;
+* :class:`CampaignPlan` — the frozen, validated campaign description;
 * the typed event stream — :meth:`Session.campaign` yields
   :class:`CampaignStarted`, :class:`CellFinished`, :class:`ShardMerged`
   and :class:`CampaignFinished`; :func:`fold_events` folds any complete
   stream back into the batch :class:`~repro.pipeline.campaign.CampaignReport`.
 
-The legacy module-level entry points (``run_campaign``,
-``test_compilation``) survive as deprecation shims over this package —
-see the README's deprecation policy.
+Below the session, :func:`~repro.pipeline.telechat.run_test_tv` and
+:func:`~repro.pipeline.telechat.run_differential` are the bare engine
+calls for one test; nothing else outside this package is supported.
 """
 
 from .engine import (

@@ -1,18 +1,20 @@
 """The streaming campaign engine: cell producers feeding a typed event stream.
 
-This is the old ``run_campaign`` body rebuilt as a producer: the serial,
-thread-pool and process-pool backends all *yield* :class:`CellFinished`
-events as verdicts land (completion order, not work-list order), and
+Every campaign mode runs through one cell loop, :func:`_run_pending`,
+with two backends — serial, and a process pool — that *yield* verdict
+records as they land (completion order, not work-list order);
 :func:`fold_events` reconstructs the deterministic
-:class:`~repro.pipeline.campaign.CampaignReport` — byte-for-byte what the
-batch API returned — from any complete stream.
+:class:`~repro.pipeline.campaign.CampaignReport` from any complete
+stream.  The per-run state every mode shares — cache identity, source
+hoisting, store replay, event construction and persist-then-yield —
+lives in one :class:`_CellContext`.
 
 All three campaign modes run through the one skeleton:
 
 * ``mode="tv"`` — translation validation, one cell per (test × arch ×
-  opt × compiler), evaluated by the staged toolchain's ``run_tv``;
+  opt × compiler), evaluated by :func:`run_test_tv`;
 * ``mode="differential"`` — compiler vs compiler (paper §IV-D), one
-  cell per (test × profile pair), evaluated by ``run_differential``.
+  cell per (test × profile pair), evaluated by :func:`run_differential`.
   Cells tally under ``(arch, "diff", "<spec_a>|<spec_b>")``, so shard
   merging, store replay and event folding need no special cases;
 * ``mode="hunt"`` — the §V mutation loop (:func:`iter_hunt`): tv cells
@@ -38,12 +40,12 @@ Invariants the rest of the system builds on:
   resolve against the globals) and for persistent stores (records key
   by name).
 * **source hoisting** — a test's source simulation runs once per
-  session and source model, on every backend: the session's source cache
-  (keyed by ``_CellContext.source_key_of``) is the one hoisting point.
-  Serial and thread runs call through it; the process backend ships each
+  session and source model, on both backends: the session's source
+  cache (keyed by ``_CellContext.source_key_of``) is the one hoisting
+  point.  Serial runs call through it; the process backend ships each
   test's first pending cell without a source, caches the simulation its
   worker returns, and ships the test's other cells with it attached
-  (:func:`_run_in_pool`).  Workers keep no source cache, so which cell
+  (:func:`_run_pending`).  Workers keep no source cache, so which cell
   simulates a source depends on the work list alone, and a source that
   times out or errors is simulated once, its cells all getting the same
   ``timeout``/``error`` record.
@@ -53,16 +55,10 @@ Invariants the rest of the system builds on:
   lists are dynamic, so hunts refuse cell-sharding (shard the seed
   source instead) — their determinism comes from round-synchronous
   scheduling: the same seeds and verdicts schedule the same rounds on
-  every backend.
+  both backends.
 * **persistence** — each freshly computed record is stored *before* its
   event is yielded, so an interrupted campaign resumes from every
   finished cell.
-
-Extension surface note: the executors and the per-cell tool-chain entries
-are late-bound through :mod:`repro.pipeline.campaign`'s namespace
-(``campaign.ThreadPoolExecutor``, ``campaign.ProcessPoolExecutor``,
-``campaign.test_compilation``, ``campaign.run_differential``), which has
-always been the place tests and embedders swap them.
 """
 
 from __future__ import annotations
@@ -70,19 +66,24 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..cat.registry import ARCH_MODEL
 from ..compiler.profiles import DEFAULT_VERSION, make_profile, parse_profile
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
+# simulate_c and reduce_test are called through this module's globals:
+# the benchmark harness (perfbench/) patches both here
 from ..herd.simulator import SimulationResult, simulate_c
 from ..hunt.reduce import ReductionError, reduce_test
 from ..hunt.scheduler import HuntScheduler
 from ..lang.ast import CLitmus
 from ..lang.printer import print_c_litmus
+# pools open through ``campaign.ProcessPoolExecutor``, looked up at call
+# time: the benchmark harness (perfbench/) counts pool starts by
+# patching it there
 from ..pipeline import campaign as campaign_mod
 from ..pipeline.campaign import (
     STORE_SCHEMA,
@@ -95,6 +96,7 @@ from ..pipeline.campaign import (
     merge_reports,
 )
 from ..pipeline.store import cell_key
+from ..pipeline.telechat import run_differential, run_test_tv
 from ..toolchain import Toolchain, profile_signature
 from ..tools.l2c import prepare
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
@@ -115,15 +117,17 @@ from .plan import CampaignPlan, PlanError
 Cell = Tuple[CLitmus, str, str, str]
 
 #: always empty: workers keep no source cache, since the parent session's
-#: cache hoists every source (kept for tools that sum worker cache counters)
+#: cache hoists every source.  Kept because the benchmark harness
+#: (perfbench/) sums worker cache counters over it.
 _WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
 
-#: per-process staged toolchain.  Its artifact entries live for one pool
-#: task (:func:`_pool_cell` / :func:`_pool_diff_cell` clear them on
-#: return; the hit/miss counters keep running): which cells share a
-#: worker depends on scheduling, so cross-task reuse would make a run's
-#: work — and its cache counters — vary from run to run.  Scoping also
-#: bounds the worker's memory however many cells it evaluates.
+#: per-process staged toolchain (the benchmark harness, perfbench/,
+#: reads its cache counters).  Its artifact entries live for one pool task
+#: (:func:`_in_worker` clears them on return; the hit/miss counters keep
+#: running): which cells share a worker depends on scheduling, so
+#: cross-task reuse would make a run's work — and its cache counters —
+#: vary from run to run.  Scoping also bounds the worker's memory however
+#: many cells it evaluates.
 _WORKER_TOOLCHAIN = Toolchain()
 
 
@@ -137,7 +141,7 @@ def _pool_source(
 ) -> SimulationResult:
     """The source simulation a pool task evaluates its cell against.
 
-    ``source`` is what the parent shipped (see :func:`_run_in_pool`): the
+    ``source`` is what the parent shipped (see :func:`_run_pending`): the
     cached simulation, the cached error of a failed one — re-raised, so
     the cell gets the timeout/error record every backend gives it — or
     ``None`` for a test's first cell, which simulates here and appends
@@ -160,73 +164,48 @@ def _pool_source(
     return result
 
 
-def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
-    """Evaluate one campaign cell in a worker process.
-
-    Runs the same tool-chain as the in-process path but returns a
-    JSON-able verdict record instead of a ``TelechatResult`` — the record
-    is the cross-process (and on-disk) currency — paired with the source
-    simulation this task ran, if any (:func:`_pool_source`).  Worker
-    processes resolve models against the *global* registries — session
-    overlays do not cross the process boundary (the session refuses to
-    try).
-    """
-    (litmus, arch, opt, compiler, source_model, augment, budget_candidates,
-     source) = task
+def _in_worker(
+    evaluate: Callable[[List], Dict[str, object]]
+) -> Tuple[Dict[str, object], object]:
+    """Run one pool task as ``evaluate(landed)`` over the worker's
+    toolchain, clearing its artifacts on return, and pair the record
+    with the source simulation the task ran, if any
+    (:func:`_pool_source`).  The JSON-able record, not a result object,
+    is the cross-process (and on-disk) currency."""
     landed: List = []
     try:
-        record = _verdict_record(
-            litmus, arch, opt, compiler, source_model, augment,
-            budget_candidates,
-            lambda: campaign_mod.test_compilation(
-                litmus,
-                make_profile(compiler, opt, arch),
-                source_model=source_model,
-                augment=augment,
-                budget=Budget(max_candidates=budget_candidates),
-                source_result=_pool_source(
-                    source, litmus, source_model, augment,
-                    budget_candidates, landed,
-                ),
-                toolchain=_WORKER_TOOLCHAIN,
-            ),
-        )
+        record = evaluate(landed)
     finally:
         _WORKER_TOOLCHAIN.cache.clear()
     return record, (landed[0] if landed else None)
 
 
-def _diff_base_record(
-    litmus: CLitmus,
-    arch: str,
-    label: str,
-    spec_a: str,
-    spec_b: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-) -> Dict[str, object]:
-    """The identity half of a differential verdict record.
+def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
+    """Evaluate one tv cell in a worker process (the benchmark harness,
+    perfbench/, swaps this name for a traced wrapper).
 
-    ``label`` (``"<spec_a>|<spec_b>"``) stands in for the profile name in
-    the store key, so differential verdicts persist and resume through
-    the unchanged PR 2 store format.
+    Worker processes resolve models against the *global* registries —
+    session overlays do not cross the process boundary (the session
+    refuses to try).
     """
-    return {
-        "schema": STORE_SCHEMA,
-        "digest": litmus.digest(),
-        "test": litmus.name,
-        "mode": "differential",
-        "arch": arch,
-        "opt": "diff",
-        "compiler": label,
-        "profile": label,
-        "profile_a": spec_a,
-        "profile_b": spec_b,
-        "source_model": source_model,
-        "augment": bool(augment),
-        "budget_candidates": budget_candidates,
-    }
+    (litmus, arch, opt, compiler, source_model, augment, budget_candidates,
+     source) = task
+    return _in_worker(lambda landed: _verdict_record(
+        litmus, arch, opt, compiler, source_model, augment,
+        budget_candidates,
+        lambda: run_test_tv(
+            litmus,
+            make_profile(compiler, opt, arch),
+            source_model=source_model,
+            augment=augment,
+            budget=Budget(max_candidates=budget_candidates),
+            source_result=_pool_source(
+                source, litmus, source_model, augment, budget_candidates,
+                landed,
+            ),
+            toolchain=_WORKER_TOOLCHAIN,
+        ),
+    ))
 
 
 def _diff_verdict_record(
@@ -241,76 +220,94 @@ def _diff_verdict_record(
     produce_result,
 ) -> Dict[str, object]:
     """Run one differential cell and shape its outcome as a verdict
-    record — same status contract (``_shape_record``) as tv cells."""
+    record — the tv status contract (``_shape_record``).  ``label``
+    (``"<spec_a>|<spec_b>"``) stands in for the profile name in the
+    store key, so differential verdicts persist and resume like tv ones.
+    """
+    identity = {
+        "profile": label,
+        "profile_a": spec_a,
+        "profile_b": spec_b,
+        "source_model": source_model,
+    }
     record = _shape_record(
-        _diff_base_record(
-            litmus, arch, label, spec_a, spec_b, source_model, augment,
-            budget_candidates,
+        dict(
+            identity,
+            schema=STORE_SCHEMA,
+            digest=litmus.digest(),
+            test=litmus.name,
+            mode="differential",
+            arch=arch,
+            opt="diff",
+            compiler=label,
+            augment=bool(augment),
+            budget_candidates=budget_candidates,
         ),
         produce_result,
     )
     # identity fields win over the result's name-based rendering: plan
     # profile *specs* may carry a version suffix profile names drop
-    record.update(
-        profile=label, profile_a=spec_a, profile_b=spec_b,
-        source_model=source_model,
-    )
+    record.update(identity)
     return record
 
 
 def _pool_diff_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
     """Evaluate one differential cell in a worker process (profiles are
-    re-parsed against the global registries; the session refuses to send
-    session-local epochs across the process boundary).  The source
-    simulation is the UB oracle, shipped and returned as in
-    :func:`_pool_cell`."""
+    re-parsed against the global registries).  The source simulation is
+    the UB oracle, shipped and returned as in :func:`_pool_cell`."""
     (litmus, arch, label, spec_a, spec_b, source_model, augment,
      budget_candidates, source) = task
-    landed: List = []
-    try:
-        record = _diff_verdict_record(
-            litmus, arch, label, spec_a, spec_b, source_model, augment,
-            budget_candidates,
-            lambda: campaign_mod.run_differential(
-                litmus,
-                parse_profile(spec_a),
-                parse_profile(spec_b),
-                source_model=source_model,
-                augment=augment,
-                budget=Budget(max_candidates=budget_candidates),
-                source_result=_pool_source(
-                    source, litmus, source_model, augment,
-                    budget_candidates, landed,
-                ),
-                toolchain=_WORKER_TOOLCHAIN,
+    return _in_worker(lambda landed: _diff_verdict_record(
+        litmus, arch, label, spec_a, spec_b, source_model, augment,
+        budget_candidates,
+        lambda: run_differential(
+            litmus,
+            parse_profile(spec_a),
+            parse_profile(spec_b),
+            source_model=source_model,
+            augment=augment,
+            budget=Budget(max_candidates=budget_candidates),
+            source_result=_pool_source(
+                source, litmus, source_model, augment, budget_candidates,
+                landed,
             ),
-        )
-    finally:
-        _WORKER_TOOLCHAIN.cache.clear()
-    return record, (landed[0] if landed else None)
+            toolchain=_WORKER_TOOLCHAIN,
+        ),
+    ))
 
 
-def _run_in_pool(
-    pending: List[Tuple[int, Cell]],
-    plan: CampaignPlan,
-    ctx: "_CellContext",
-    pool_task,
-    pool_fn,
+def _run_pending(
+    pending: List[Tuple[int, Cell]], ctx: "_CellContext"
 ) -> Iterator[Tuple[int, Cell, Dict[str, object]]]:
-    """The process backend of :func:`_run_pending`, hoisting each source
-    simulation into the session's source cache like the other backends.
+    """Stream ``(index, item, record)`` for every pending cell — the one
+    cell loop every campaign mode shares, on one of two backends.
 
-    The first pending cell of each test (work-list order) ships with no
-    source and simulates it in its worker, which hands the simulation
-    back beside the record; the parent caches it under
-    ``ctx.source_key_of`` and only then ships the test's held cells, each
-    with the cached simulation (or its cached timeout/error) attached.
-    So which cell simulates a source depends on the work list alone,
-    never on scheduling, and a failing source is simulated once.  A first
-    cell that lands no simulation (it crashed, or failed before reaching
-    the source) passes the role to the next held cell — the
-    :class:`~repro.core.cache.KeyedCache` retry rule.
+    Serial (``processes=0``) evaluates cells in work-list order through
+    the session's caches; a failure propagates at once.
+
+    The process pool streams records in *completion* order (events carry
+    their deterministic index, so folding is order-independent) and
+    hoists each source simulation into the session's source cache like
+    the serial backend.  The first pending cell of each test (work-list
+    order) ships with no source and simulates it in its worker, which
+    hands the simulation back beside the record; the parent caches it
+    under ``ctx.source_key_of`` and only then ships the test's held
+    cells, each with the cached simulation (or its cached timeout/error)
+    attached.  So which cell simulates a source depends on the work list
+    alone, never on scheduling, and a failing source is simulated once.
+    A first cell that lands no simulation (it crashed, or failed before
+    reaching the source) passes the role to the next held cell — the
+    :class:`~repro.core.cache.KeyedCache` retry rule.  An unexpected
+    exception from one cell never discards the verdicts of cells that
+    still ran (everything streams, then the first failure re-raises),
+    and a consumer that abandons the stream early cancels everything
+    still queued, so pool shutdown only waits for the cells already
+    running.
     """
+    if not pending or ctx.plan.processes == 0:
+        for index, item in pending:
+            yield index, item, ctx.evaluate(*item)
+        return
     #: source key -> cells waiting for that source's first cell to land
     held: Dict[Tuple, List[Tuple[int, Cell]]] = {}
     #: future -> (index, item, source key if it is a first cell else None)
@@ -318,7 +315,9 @@ def _run_in_pool(
     to_ship: deque = deque(pending)
     first_error: Optional[BaseException] = None
 
-    with campaign_mod.ProcessPoolExecutor(max_workers=plan.processes) as pool:
+    with campaign_mod.ProcessPoolExecutor(
+        max_workers=ctx.plan.processes
+    ) as pool:
 
         def ship() -> List:
             """Submit (or hold) every cell in ``to_ship``; the new futures."""
@@ -338,7 +337,7 @@ def _run_in_pool(
                     except ReproError as exc:
                         source = exc
                 try:
-                    future = pool.submit(pool_fn, pool_task(*item, source))
+                    future = pool.submit(*ctx.pool_task(*item, source))
                 except Exception as exc:  # e.g. a broken pool
                     first_error = first_error or exc
                     continue
@@ -376,82 +375,32 @@ def _run_in_pool(
         raise first_error
 
 
-def _run_pending(
-    pending: List[Tuple[int, Cell]],
-    plan: CampaignPlan,
-    ctx: "_CellContext",
-    evaluate,
-    pool_task,
-    pool_fn,
-) -> Iterator[Tuple[int, Cell, Dict[str, object]]]:
-    """Stream ``(index, item, record)`` for every pending cell under the
-    plan's execution backend — the one backend selector every campaign
-    mode shares.
-
-    Invariants: records arrive in *completion* order (events carry their
-    deterministic index, so folding is order-independent); every backend
-    hoists source simulations through the session's source cache (the
-    process pool as :func:`_run_in_pool` describes); in the pool
-    branches an unexpected exception from one cell never discards the
-    verdicts of cells that still ran (everything streams, then the first
-    failure re-raises); a consumer that abandons the stream early cancels
-    everything still queued, so pool shutdown only waits for the cells
-    already running.  Serial execution propagates failures immediately,
-    the historical behaviour.
-    """
-    if pending and plan.processes > 0:
-        yield from _run_in_pool(pending, plan, ctx, pool_task, pool_fn)
-        return
-    first_error: Optional[BaseException] = None
-    if pending and plan.workers > 1:
-        # the with-block shuts the pool down even when an unexpected
-        # exception escapes future.result(), so workers never leak
-        with campaign_mod.ThreadPoolExecutor(
-            max_workers=plan.workers
-        ) as pool:
-            future_map = {
-                pool.submit(evaluate, *item): (index, item)
-                for index, item in pending
-            }
-            try:
-                for future in as_completed(future_map):
-                    index, item = future_map[future]
-                    try:
-                        record = future.result()
-                    except Exception as exc:
-                        first_error = (
-                            first_error if first_error is not None else exc
-                        )
-                        continue
-                    yield index, item, record
-            finally:
-                # an abandoned stream cancels everything still queued
-                for future in future_map:
-                    future.cancel()
-    else:
-        for index, item in pending:
-            yield index, item, evaluate(*item)
-    if first_error is not None:
-        raise first_error
-
-
 class _CellContext:
-    """The tv-cell evaluation context campaign and hunt runs share.
+    """The per-run state every campaign mode's cells share.
 
     Owns the session-resolved cache identity (model/arch/epoch
     signatures, stage token: verdicts key by what names *resolve to*,
-    never names alone), the hoisted source simulation (computed here,
-    or seeded from a pool worker), and the two faces of one tv cell: the
-    in-process ``evaluate`` (through the session's result cache and
-    toolchain) and the ``pool_task`` tuple the process backend ships to
-    :func:`_pool_cell`.
+    never names alone), the hoisted source simulation (computed here, or
+    seeded from a pool worker), the two faces of one cell — the
+    in-process :meth:`evaluate` (through the session's result cache and
+    toolchain) and the :meth:`pool_task` the process backend ships — and
+    the event side: store replay (:meth:`split`), ``CellFinished``
+    construction, persist-then-yield (:meth:`cells`) and the run totals
+    the ``CampaignStarted``/``CampaignFinished`` bookends report.
     """
 
-    def __init__(self, plan: CampaignPlan, session) -> None:
+    def __init__(
+        self, plan: CampaignPlan, session, pairs: Optional[Dict] = None
+    ) -> None:
+        self.plan = plan
         self.session = session
+        #: differential mode: pair label -> (spec_a, prof_a, spec_b, prof_b)
+        self.pairs: Dict[str, Tuple] = pairs or {}
+        self.differential = plan.mode == "differential"
         self.source_model = plan.source_model
         self.augment = plan.augment
         self.budget_candidates = plan.budget_candidates
+        self.store = session.store
         self.source_cache = session.source_cache
         self.result_cache = session.result_cache
         self.toolchain = session.toolchain()
@@ -461,11 +410,15 @@ class _CellContext:
         self._epoch_sigs: Dict[str, str] = {}
         #: source-simulation keys actually produced during this run
         self.simulated_sources: set = set()
+        self.start = time.perf_counter()
+        self.result_hits_before = self.result_cache.hits
+        self.ok_cells = 0
+        self.store_hits = 0
 
     # -- cache identity ------------------------------------------------ #
     def model_sig(self, name: str) -> str:
         # an unresolvable name contributes no identity: it surfaces as
-        # per-cell error records, the legacy behaviour, never an abort
+        # per-cell error records, never an abort
         try:
             return self.session.model_signature(name)
         except ModelError:
@@ -524,11 +477,29 @@ class _CellContext:
         except ReproError:
             pass  # cached for replay; the first cell's record has it
 
-    # -- one tv cell, three faces -------------------------------------- #
+    # -- one cell, two faces ------------------------------------------- #
+    def run_tv(self, litmus: CLitmus, profile, hoist: bool = False):
+        """test_tv straight through the session toolchain, bypassing the
+        result cache.  Campaign cells hoist the source simulation
+        (``hoist=True``, via :meth:`run_cell`); the hunt's reduction
+        oracle and reduced records do not, so neither counts toward the
+        run's source simulations or result-cache hits — both feed report
+        parity and must only ever count campaign cells."""
+        return run_test_tv(
+            litmus,
+            profile,
+            source_model=self.session.model(self.source_model),
+            target_model=self.session.arch_model(profile.arch),
+            augment=self.augment,
+            budget=Budget(max_candidates=self.budget_candidates),
+            source_result=self.simulate_source(litmus) if hoist else None,
+            toolchain=self.toolchain,
+        )
+
     def run_cell(self, litmus: CLitmus, arch: str, opt: str, compiler: str):
         # the session's epoch overlay decides which compiler bugs this
         # cell simulates (private epochs are process/store-guarded by
-        # the engine entry points)
+        # _check_session_constraints)
         profile = make_profile(
             compiler, opt, arch, epochs=self.session.epochs
         )
@@ -536,11 +507,22 @@ class _CellContext:
             (litmus.digest(), profile.name, self.source_model,
              self.source_sig, self.arch_sig(arch), self.epoch_sig(compiler),
              self.augment, self.budget_candidates, self.stages_token),
-            lambda: campaign_mod.test_compilation(
+            lambda: self.run_tv(litmus, profile, hoist=True),
+        )
+
+    def run_diff_cell(self, litmus: CLitmus, arch: str, label: str):
+        _, prof_a, _, prof_b = self.pairs[label]
+        return self.result_cache.get(
+            (litmus.digest(), "diff", label, profile_signature(prof_a),
+             profile_signature(prof_b), self.source_model, self.source_sig,
+             self.arch_sig(arch), self.augment, self.budget_candidates,
+             self.stages_token),
+            lambda: run_differential(
                 litmus,
-                profile,
+                prof_a,
+                prof_b,
                 source_model=self.session.model(self.source_model),
-                target_model=self.session.arch_model(profile.arch),
+                target_model=self.session.arch_model(arch),
                 augment=self.augment,
                 budget=Budget(max_candidates=self.budget_candidates),
                 source_result=self.simulate_source(litmus),
@@ -551,6 +533,14 @@ class _CellContext:
     def evaluate(
         self, litmus: CLitmus, arch: str, opt: str, compiler: str
     ) -> Dict[str, object]:
+        """The serial face of one cell: its verdict record."""
+        if self.differential:
+            spec_a, _, spec_b, _ = self.pairs[compiler]
+            return _diff_verdict_record(
+                litmus, arch, compiler, spec_a, spec_b, self.source_model,
+                self.augment, self.budget_candidates,
+                lambda: self.run_diff_cell(litmus, arch, compiler),
+            )
         return _verdict_record(
             litmus, arch, opt, compiler, self.source_model, self.augment,
             self.budget_candidates,
@@ -559,9 +549,114 @@ class _CellContext:
 
     def pool_task(
         self, litmus: CLitmus, arch: str, opt: str, compiler: str, source
-    ) -> Tuple:
-        return (litmus, arch, opt, compiler, self.source_model, self.augment,
-                self.budget_candidates, source)
+    ) -> Tuple[Callable, Tuple]:
+        """The process face of one cell: the worker entry point (looked
+        up at call time, so a swapped ``_pool_cell`` is honoured) and the
+        task tuple shipped to it."""
+        tail = (self.source_model, self.augment, self.budget_candidates,
+                source)
+        if self.differential:
+            spec_a, _, spec_b, _ = self.pairs[compiler]
+            return _pool_diff_cell, (litmus, arch, compiler, spec_a,
+                                     spec_b) + tail
+        return _pool_cell, (litmus, arch, opt, compiler) + tail
+
+    # -- events -------------------------------------------------------- #
+    def split(
+        self, work: List[Cell], base: int = 0
+    ) -> Tuple[List[Tuple[int, Cell, Dict[str, object]]],
+               List[Tuple[int, Cell]]]:
+        """Partition ``work`` into store-replayed ``(index, item,
+        record)`` and pending ``(index, item)`` cells, indexes counting
+        from ``base``."""
+        replayed: List[Tuple[int, Cell, Dict[str, object]]] = []
+        pending: List[Tuple[int, Cell]] = []
+        for index, item in enumerate(work, base):
+            if self.store is not None and self.plan.resume:
+                litmus, arch, opt, compiler = item
+                # differential cells key by their "<a>|<b>" pair label
+                label = (
+                    compiler if self.differential
+                    else _profile_name(compiler, opt, arch)
+                )
+                stored = self.store.get(cell_key(
+                    litmus.digest(), label, self.source_model, self.augment,
+                    self.budget_candidates,
+                ))
+                if stored is not None:
+                    replayed.append((index, item, stored))
+                    continue
+            pending.append((index, item))
+        self.store_hits += len(replayed)
+        return replayed, pending
+
+    def cell_event(
+        self, index: int, item: Cell, record: Dict[str, object],
+        from_store: bool,
+    ) -> CellFinished:
+        if record.get("status") == "ok":
+            self.ok_cells += 1
+        litmus, arch, opt, compiler = item
+        return CellFinished(
+            index=index,
+            test=litmus.name,
+            digest=str(record.get("digest", "")),
+            arch=arch,
+            opt=opt,
+            compiler=compiler,
+            record=record,
+            from_store=from_store,
+            shard=self.plan.shard,
+            mode=self.plan.mode,
+        )
+
+    def cells(
+        self,
+        replayed: List[Tuple[int, Cell, Dict[str, object]]],
+        pending: List[Tuple[int, Cell]],
+        annotate: Optional[Callable] = None,
+    ) -> Iterator[CellFinished]:
+        """One batch of cell events: the store replays, then each pending
+        cell as it lands — its record (passed through ``annotate``, if
+        given) stored *before* its event is yielded, so an interrupted
+        campaign resumes from every finished cell."""
+        for index, item, record in replayed:
+            yield self.cell_event(index, item, record, True)
+        producer = _run_pending(pending, self)
+        try:
+            for index, item, record in producer:
+                if annotate is not None:
+                    record = annotate(record, item[0].digest())
+                if self.store is not None:
+                    self.store.put(record)
+                yield self.cell_event(index, item, record, False)
+        finally:
+            # a consumer that abandons the stream early (fuzzing loops
+            # break at the first positive) must not pay for the whole
+            # campaign: closing the producer cancels everything queued
+            producer.close()
+
+    def started(
+        self, tests_input: int, cells_total: int, pending: int
+    ) -> CampaignStarted:
+        return CampaignStarted(
+            source_model=self.source_model,
+            tests_input=tests_input,
+            cells_total=cells_total,
+            pending=pending,
+            processes=self.plan.processes,
+            shard=self.plan.shard,
+        )
+
+    def finished(self) -> CampaignFinished:
+        return CampaignFinished(
+            source_model=self.source_model,
+            compiled_tests=self.ok_cells,
+            elapsed_seconds=time.perf_counter() - self.start,
+            source_sim_keys=frozenset(self.simulated_sources),
+            cached_cells=self.result_cache.hits - self.result_hits_before,
+            store_hits=self.store_hits,
+        )
 
 
 def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:
@@ -594,7 +689,13 @@ def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:
 
 
 def _check_session_constraints(plan: CampaignPlan, session) -> None:
-    """The store/process-pool guards every campaign mode enforces."""
+    """The guards every campaign mode enforces before any cell runs: the
+    source model resolves, and the store/process-pool constraints."""
+    try:
+        session.models.resolve(plan.source_model)
+    except ModelError as exc:
+        # every cell would be an error record — bad input, not a result
+        raise PlanError(f"source_model: {exc}")
     if plan.resume and session.store is None:
         raise PlanError("resume=True needs a store to resume from")
     if plan.processes > 0 and session.caches_explicit:
@@ -610,8 +711,7 @@ def _check_session_constraints(plan: CampaignPlan, session) -> None:
     if local and plan.processes > 0:
         raise PlanError(
             f"session-registered definitions {local} are not visible to "
-            f"worker processes; register them globally or use thread "
-            f"workers"
+            f"worker processes; register them globally or run serially"
         )
     if local and session.store is not None:
         # store records key verdicts by model/profile *name* (the PR 2
@@ -624,6 +724,33 @@ def _check_session_constraints(plan: CampaignPlan, session) -> None:
         )
 
 
+def _resolve_pairs(plan: CampaignPlan, session) -> Tuple[str, Dict]:
+    """A differential plan's common architecture and its profile pairs
+    (label -> (spec_a, prof_a, spec_b, prof_b)).  Resolved eagerly: an
+    unresolvable or cross-architecture pairing is a plan mistake, not a
+    per-cell error (there is nothing meaningful left to run)."""
+    resolved = []
+    for spec in plan.profiles or ():
+        try:
+            resolved.append((spec, session.profile(spec)))
+        except ReproError as exc:
+            raise PlanError(
+                f"differential profile {spec!r} failed to resolve: {exc}"
+            )
+    arches = sorted({profile.arch for _, profile in resolved})
+    if len(arches) != 1:
+        raise PlanError(
+            f"differential testing requires a common architecture; "
+            f"profiles target {arches}"
+        )
+    pairs = {
+        f"{spec_a}|{spec_b}": (spec_a, prof_a, spec_b, prof_b)
+        for (spec_a, prof_a), (spec_b, prof_b)
+        in itertools.combinations(resolved, 2)
+    }
+    return arches[0], pairs
+
+
 def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     """Run ``plan`` inside ``session``, yielding events as cells finish.
 
@@ -633,48 +760,17 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     """
     if plan.mode == "hunt":
         return iter_hunt(plan, session)
-    differential = plan.mode == "differential"
     _check_session_constraints(plan, session)
-
-    # differential mode: resolve the profile pairs eagerly — an
-    # unresolvable or cross-architecture pairing is a plan mistake, not
-    # a per-cell error (there is nothing meaningful left to run)
-    pair_map: Dict[str, Tuple] = {}
-    if differential:
-        resolved_profiles = []
-        for spec in plan.profiles:
-            try:
-                resolved_profiles.append((spec, session.profile(spec)))
-            except ReproError as exc:
-                raise PlanError(
-                    f"differential profile {spec!r} failed to resolve: {exc}"
-                )
-        arches_used = sorted({p.arch for _, p in resolved_profiles})
-        if len(arches_used) != 1:
-            raise PlanError(
-                f"differential testing requires a common architecture; "
-                f"profiles target {arches_used}"
-            )
-        diff_arch = arches_used[0]
-        for (spec_a, prof_a), (spec_b, prof_b) in itertools.combinations(
-            resolved_profiles, 2
-        ):
-            pair_map[f"{spec_a}|{spec_b}"] = (spec_a, prof_a, spec_b, prof_b)
-
+    pairs: Dict[str, Tuple] = {}
+    if plan.mode == "differential":
+        diff_arch, pairs = _resolve_pairs(plan, session)
     tests = plan.resolve_tests(shapes=session.shapes)
     _lint_tests(tests, plan)
-    store = session.store
-    result_cache = session.result_cache
-    ctx = _CellContext(plan, session)
-    source_model = plan.source_model
-    augment = plan.augment
-    budget_candidates = plan.budget_candidates
-
-    if differential:
+    if pairs:
         work: List[Cell] = [
             (litmus, diff_arch, "diff", label)
             for litmus in tests
-            for label in pair_map
+            for label in pairs
         ]
     else:
         work = _campaign_cells(
@@ -684,140 +780,15 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
         shard_k, shard_n = plan.shard
         work = work[shard_k::shard_n]
 
-    start = time.perf_counter()
-    result_hits_before = result_cache.hits
-
-    def run_diff_cell(litmus: CLitmus, arch: str, label: str):
-        spec_a, prof_a, spec_b, prof_b = pair_map[label]
-        return result_cache.get(
-            (litmus.digest(), "diff", label, profile_signature(prof_a),
-             profile_signature(prof_b), source_model, ctx.source_sig,
-             ctx.arch_sig(arch), augment, budget_candidates,
-             ctx.stages_token),
-            lambda: campaign_mod.run_differential(
-                litmus,
-                prof_a,
-                prof_b,
-                source_model=session.model(source_model),
-                target_model=session.arch_model(arch),
-                augment=augment,
-                budget=Budget(max_candidates=budget_candidates),
-                source_result=ctx.simulate_source(litmus),
-                toolchain=ctx.toolchain,
-            ),
-        )
-
-    def evaluate(
-        litmus: CLitmus, arch: str, opt: str, compiler: str
-    ) -> Dict[str, object]:
-        if differential:
-            spec_a, _, spec_b, _ = pair_map[compiler]
-            return _diff_verdict_record(
-                litmus, arch, compiler, spec_a, spec_b, source_model,
-                augment, budget_candidates,
-                lambda: run_diff_cell(litmus, arch, compiler),
-            )
-        return ctx.evaluate(litmus, arch, opt, compiler)
-
-    def pool_task(
-        litmus: CLitmus, arch: str, opt: str, compiler: str, source
-    ) -> Tuple:
-        if differential:
-            spec_a, _, spec_b, _ = pair_map[compiler]
-            return (litmus, arch, compiler, spec_a, spec_b, source_model,
-                    augment, budget_candidates, source)
-        return ctx.pool_task(litmus, arch, opt, compiler, source)
-
-    pool_fn = _pool_diff_cell if differential else _pool_cell
-
-    def store_profile_label(arch: str, opt: str, compiler: str) -> str:
-        if differential:
-            return compiler  # the "<spec_a>|<spec_b>" pair label
-        return _profile_name(compiler, opt, arch)
-
+    ctx = _CellContext(plan, session, pairs)
     # replay whatever the persistent store already knows (eager: cheap,
     # and the CampaignStarted event reports exact pending counts)
-    replayed: List[Tuple[int, Cell, Dict[str, object]]] = []
-    pending: List[Tuple[int, Cell]] = []
-    for index, (litmus, arch, opt, compiler) in enumerate(work):
-        if store is not None and plan.resume:
-            key = cell_key(
-                litmus.digest(), store_profile_label(arch, opt, compiler),
-                source_model, augment, budget_candidates,
-            )
-            stored = store.get(key)
-            if stored is not None:
-                replayed.append((index, (litmus, arch, opt, compiler), stored))
-                continue
-        pending.append((index, (litmus, arch, opt, compiler)))
-
-    def cell_event(
-        index: int, item: Cell, record: Dict[str, object], from_store: bool
-    ) -> CellFinished:
-        litmus, arch, opt, compiler = item
-        return CellFinished(
-            index=index,
-            test=litmus.name,
-            digest=str(record.get("digest", "")),
-            arch=arch,
-            opt=opt,
-            compiler=compiler,
-            record=record,
-            from_store=from_store,
-            shard=plan.shard,
-            mode=plan.mode,
-        )
+    replayed, pending = ctx.split(work)
 
     def events() -> Iterator[CampaignEvent]:
-        ok_cells = 0
-        yield CampaignStarted(
-            source_model=source_model,
-            tests_input=len(tests),
-            cells_total=len(work),
-            pending=len(pending),
-            workers=plan.workers,
-            processes=plan.processes,
-            shard=plan.shard,
-        )
-        for index, item, record in replayed:
-            if record.get("status") == "ok":
-                ok_cells += 1
-            yield cell_event(index, item, record, True)
-
-        def finish(
-            index: int, item: Cell, record: Dict[str, object]
-        ) -> CellFinished:
-            """Land one freshly computed verdict — persisting it *now*,
-            so an interrupted campaign resumes from every finished cell."""
-            nonlocal ok_cells
-            if store is not None:
-                store.put(record)
-            if record.get("status") == "ok":
-                ok_cells += 1
-            return cell_event(index, item, record, False)
-
-        # evaluate the cells the store could not answer (see
-        # _run_pending for the error/cancellation contract)
-        producer = _run_pending(
-            pending, plan, ctx, evaluate, pool_task, pool_fn
-        )
-        try:
-            for index, item, record in producer:
-                yield finish(index, item, record)
-        finally:
-            # a consumer that abandons the stream early (fuzzing loops
-            # break at the first positive) must not pay for the whole
-            # campaign: closing the producer cancels everything queued
-            producer.close()
-
-        yield CampaignFinished(
-            source_model=source_model,
-            compiled_tests=ok_cells,
-            elapsed_seconds=time.perf_counter() - start,
-            source_sim_keys=frozenset(ctx.simulated_sources),
-            cached_cells=result_cache.hits - result_hits_before,
-            store_hits=len(replayed),
-        )
+        yield ctx.started(len(tests), len(work), len(pending))
+        yield from ctx.cells(replayed, pending)
+        yield ctx.finished()
 
     return events()
 
@@ -836,9 +807,9 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     ``mode="hunt"`` plus the mutation and reduction lineage).
 
     Determinism: scheduling depends only on seeds and verdicts, indexes
-    are assigned in schedule order, and cell evaluation is the same
-    tv-cell contract as ``mode="tv"`` — so the same hunt folds to the
-    same report on the serial, thread-pool and process-pool backends.
+    are assigned in schedule order, and each round runs through the same
+    cell loop as ``mode="tv"`` — so the same hunt folds to the same
+    report on the serial and process-pool backends.
     """
     if plan.mode != "hunt":
         raise PlanError(f'iter_hunt needs mode="hunt", got {plan.mode!r}')
@@ -863,13 +834,6 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
         round_limit=plan.mutation_limit,
     )
     ctx = _CellContext(plan, session)
-    store = session.store
-    result_cache = session.result_cache
-    source_model = plan.source_model
-    augment = plan.augment
-    budget_candidates = plan.budget_candidates
-    start = time.perf_counter()
-    result_hits_before = result_cache.hits
 
     def annotate(record: Dict[str, object], digest: str) -> Dict[str, object]:
         """Stamp a cell record with hunt mode + mutation lineage (records
@@ -879,129 +843,41 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
         record.update(scheduler.lineage(digest).as_record())
         return record
 
-    def split_replay(work: List[Cell], base: int):
-        """Partition one round's work into store-replayed and pending
-        cells, with indexes continuing from ``base``."""
-        replayed: List[Tuple[int, Cell, Dict[str, object]]] = []
-        pending: List[Tuple[int, Cell]] = []
-        for offset, (litmus, arch, opt, compiler) in enumerate(work):
-            if store is not None and plan.resume:
-                key = cell_key(
-                    litmus.digest(), _profile_name(compiler, opt, arch),
-                    source_model, augment, budget_candidates,
-                )
-                stored = store.get(key)
-                if stored is not None:
-                    replayed.append(
-                        (base + offset, (litmus, arch, opt, compiler), stored)
-                    )
-                    continue
-            pending.append((base + offset, (litmus, arch, opt, compiler)))
-        return replayed, pending
-
-    def cell_event(
-        index: int, item: Cell, record: Dict[str, object], from_store: bool
-    ) -> CellFinished:
-        litmus, arch, opt, compiler = item
-        return CellFinished(
-            index=index,
-            test=litmus.name,
-            digest=str(record.get("digest", "")),
-            arch=arch,
-            opt=opt,
-            compiler=compiler,
-            record=record,
-            from_store=from_store,
-            shard=None,
-            mode="hunt",
-        )
-
-    def reduction_check(profile):
-        """The reduction oracle: "run_tv still says positive", straight
-        through the session's toolchain (per-stage cache) — deliberately
-        *not* through the result cache, whose hit counter feeds report
-        parity and must only ever count campaign cells."""
-        def check(candidate: CLitmus) -> bool:
-            result = campaign_mod.test_compilation(
-                candidate,
-                profile,
-                source_model=session.model(source_model),
-                target_model=session.arch_model(profile.arch),
-                augment=augment,
-                budget=Budget(max_candidates=budget_candidates),
-                toolchain=ctx.toolchain,
-            )
-            return result.verdict == "positive"
-        return check
-
     def events() -> Iterator[CampaignEvent]:
-        ok_cells = 0
-        store_hits = 0
         next_index = 0
         round_index = 0
         positive_digests: set = set()
         #: first positive cell per digest, in index order — what gets
         #: reduced (deterministic across backends and completion orders)
-        positive_cells: List[Tuple[int, Cell]] = []
+        positive_cells: List[Cell] = []
         round_tests = scheduler.initial()
 
-        first_round = True
         while round_tests:
             work = _campaign_cells(
                 round_tests, plan.arches, plan.opts, plan.compilers
             )
-            replayed, pending = split_replay(work, next_index)
+            base = next_index
+            replayed, pending = ctx.split(work, base)
             next_index += len(work)
-            store_hits += len(replayed)
-            if first_round:
-                first_round = False
-                yield CampaignStarted(
-                    source_model=source_model,
-                    tests_input=len(seeds),
-                    cells_total=len(work),
-                    pending=len(pending),
-                    workers=plan.workers,
-                    processes=plan.processes,
-                    shard=None,
-                )
+            if round_index == 0:
+                yield ctx.started(len(seeds), len(work), len(pending))
 
-            #: every positive cell of this round, whatever its digest —
-            #: the per-digest representative is chosen *after* the round,
-            #: by index, so completion order (thread/process backends)
-            #: cannot change which cell gets reduced
-            round_positives: List[Tuple[int, Cell]] = []
+            #: indexes of every positive cell of this round, whatever its
+            #: digest — the per-digest representative is chosen *after*
+            #: the round, by index, so completion order cannot change
+            #: which cell gets reduced
+            round_positives: List[int] = []
+            for event in ctx.cells(replayed, pending, annotate):
+                if event.record.get("verdict") == "positive":
+                    round_positives.append(event.index)
+                yield event
 
-            def land(index: int, item: Cell, record: Dict[str, object]):
-                nonlocal ok_cells
-                if record.get("status") == "ok":
-                    ok_cells += 1
-                if record.get("verdict") == "positive":
-                    round_positives.append((index, item))
-
-            for index, item, record in replayed:
-                land(index, item, record)
-                yield cell_event(index, item, record, True)
-
-            producer = _run_pending(
-                pending, plan, ctx, ctx.evaluate, ctx.pool_task, _pool_cell
-            )
-            try:
-                for index, item, record in producer:
-                    record = annotate(record, item[0].digest())
-                    if store is not None:
-                        store.put(record)
-                    land(index, item, record)
-                    yield cell_event(index, item, record, False)
-            finally:
-                producer.close()
-
-            # events may have landed in completion order; reduction (and
-            # the next round's feedback) must not depend on it
-            for index, item in sorted(round_positives):
+            for index in sorted(round_positives):
+                item = work[index - base]
                 digest = item[0].digest()
                 if digest not in positive_digests:
                     positive_digests.add(digest)
-                    positive_cells.append((index, item))
+                    positive_cells.append(item)
 
             if round_index < plan.mutation_rounds:
                 scheduled = scheduler.next_round(positive_digests)
@@ -1018,60 +894,47 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             round_tests = scheduled
             round_index += 1
 
-        if plan.reduce:
-            for index, item in positive_cells:
-                litmus, arch, opt, compiler = item
-                digest = litmus.digest()
-                profile = make_profile(
-                    compiler, opt, arch, epochs=session.epochs
-                )
-                try:
-                    reduction = reduce_test(litmus, reduction_check(profile))
-                except ReductionError:
-                    # the stored verdict said positive but the oracle
-                    # disagrees (e.g. a stale store) — nothing to reduce
-                    continue
-                record = _verdict_record(
-                    reduction.reduced, arch, opt, compiler, source_model,
-                    augment, budget_candidates,
-                    lambda: campaign_mod.test_compilation(
-                        reduction.reduced,
-                        profile,
-                        source_model=session.model(source_model),
-                        target_model=session.arch_model(profile.arch),
-                        augment=augment,
-                        budget=Budget(max_candidates=budget_candidates),
-                        toolchain=ctx.toolchain,
-                    ),
-                )
-                record["mode"] = "hunt"
-                record.update(reduction.lineage())
-                # the stored reproducer is self-contained: the printed C
-                # source rides along (digest-preserving, like write_suite),
-                # so a bug report needs nothing but the store record
-                record["source"] = print_c_litmus(reduction.reduced)
-                if store is not None:
-                    store.put(record)
-                yield TestReduced(
-                    test=litmus.name,
-                    digest=digest,
-                    reduced_name=reduction.reduced.name,
-                    reduced_digest=reduction.reduced.digest(),
-                    original_statements=reduction.original_statements,
-                    reduced_statements=reduction.reduced_statements,
-                    steps=len(reduction.steps),
-                    checks=reduction.checks,
-                    record=record,
-                )
+        for litmus, arch, opt, compiler in (
+            positive_cells if plan.reduce else ()
+        ):
+            profile = make_profile(compiler, opt, arch, epochs=session.epochs)
 
-        yield CampaignFinished(
-            source_model=source_model,
-            compiled_tests=ok_cells,
-            elapsed_seconds=time.perf_counter() - start,
-            source_sim_keys=frozenset(ctx.simulated_sources),
-            cached_cells=result_cache.hits - result_hits_before,
-            store_hits=store_hits,
-        )
+            def still_positive(candidate: CLitmus) -> bool:
+                return ctx.run_tv(candidate, profile).verdict == "positive"
+
+            try:
+                reduction = reduce_test(litmus, still_positive)
+            except ReductionError:
+                # the stored verdict said positive but the oracle
+                # disagrees (e.g. a stale store) — nothing to reduce
+                continue
+            reduced = reduction.reduced
+            record = _verdict_record(
+                reduced, arch, opt, compiler, ctx.source_model, ctx.augment,
+                ctx.budget_candidates,
+                lambda: ctx.run_tv(reduced, profile),
+            )
+            record["mode"] = "hunt"
+            record.update(reduction.lineage())
+            # the stored reproducer is self-contained: the printed C
+            # source rides along (digest-preserving, like write_suite),
+            # so a bug report needs nothing but the store record
+            record["source"] = print_c_litmus(reduced)
+            if ctx.store is not None:
+                ctx.store.put(record)
+            yield TestReduced(
+                test=litmus.name,
+                digest=litmus.digest(),
+                reduced_name=reduced.name,
+                reduced_digest=reduced.digest(),
+                original_statements=reduction.original_statements,
+                reduced_statements=reduction.reduced_statements,
+                steps=len(reduction.steps),
+                checks=reduction.checks,
+                record=record,
+            )
+
+        yield ctx.finished()
 
     return events()
 
@@ -1135,7 +998,6 @@ def fold_events(events: Iterable[CampaignEvent]) -> CampaignReport:
         )
     report = CampaignReport(
         source_model=started.source_model,
-        workers=started.workers,
         processes=started.processes,
         shard=started.shard,
     )

@@ -9,9 +9,9 @@ fuzzing loops, and services can react mid-run.  The stream grammar is::
 with two hunt-mode extras interleaved — :class:`HuntProgress` after each
 mutation round's cells and :class:`TestReduced` once per minimised
 positive — and :func:`repro.api.fold_events` folds any complete stream
-back into the legacy :class:`~repro.pipeline.campaign.CampaignReport`,
-byte-for-byte identical to what ``run_campaign`` used to return
-(hunt extras fold as annotations: they never change cell tallies).
+back into the batch :class:`~repro.pipeline.campaign.CampaignReport`,
+byte-for-byte whatever the backend or completion order (hunt extras
+fold as annotations: they never change cell tallies).
 
 Every event is a frozen dataclass with an :meth:`as_dict` JSON projection
 (the CLI's ``--json`` output is exactly one event per line).
@@ -48,7 +48,7 @@ class CampaignStarted(CampaignEvent):
     cells_total: int = 0
     #: cells that will actually run (the rest replay from the store)
     pending: int = 0
-    workers: int = 1
+    #: worker processes (0 = serial)
     processes: int = 0
     shard: Optional[Tuple[int, int]] = None
 
@@ -59,7 +59,6 @@ class CampaignStarted(CampaignEvent):
             "tests_input": self.tests_input,
             "cells_total": self.cells_total,
             "pending": self.pending,
-            "workers": self.workers,
             "processes": self.processes,
             "shard": list(self.shard) if self.shard else None,
         }
@@ -230,7 +229,6 @@ class FarmStarted(CampaignEvent):
     #: (suite, profile, model) baseline cells selected for this pass
     baselines: int = 0
     tests_total: int = 0
-    workers: int = 1
     processes: int = 0
     bless: bool = False
 
@@ -241,7 +239,6 @@ class FarmStarted(CampaignEvent):
             "suites": list(self.suites),
             "baselines": self.baselines,
             "tests_total": self.tests_total,
-            "workers": self.workers,
             "processes": self.processes,
             "bless": self.bless,
         }

@@ -93,7 +93,6 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
         tests_total=sum(
             verified[spec.suite].tests for spec in selected
         ),
-        workers=plan.workers,
         processes=plan.processes,
         bless=plan.bless,
     )
@@ -120,7 +119,6 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
             opts=(profile.opt,),
             compilers=(profile.compiler,),
             source_model=model,
-            workers=plan.workers,
             processes=plan.processes,
         )
         records: List[Dict[str, object]] = []

@@ -1,10 +1,9 @@
 """The frozen, validated campaign plan.
 
-``run_campaign`` grew sixteen loose keyword arguments across PRs 1 and 2;
-:class:`CampaignPlan` absorbs them into one immutable value that is
-validated *once*, up front — bad shards, impossible opt levels or
-process/cache combinations fail before any simulation starts, with
-did-you-mean quality errors instead of a half-finished campaign.
+:class:`CampaignPlan` holds every campaign parameter in one immutable
+value that is validated *once*, up front — bad shards, impossible opt
+levels or process/cache combinations fail before any simulation starts,
+with did-you-mean quality errors instead of a half-finished campaign.
 
 Plans are plain data: hashable-free (tests are unhashable lists) but
 frozen, shareable between sessions, and splittable into deterministic
@@ -49,8 +48,9 @@ MODES = ("tv", "differential", "hunt")
 class PlanError(ReproError, ValueError):
     """A campaign plan failed validation.
 
-    Subclasses :class:`ValueError` so callers of the legacy
-    ``run_campaign`` shim keep catching what they always caught.
+    Subclasses :class:`ValueError`, so callers that catch bad arguments
+    as ``ValueError`` keep working; the CLI reports it as bad input
+    (exit 2).
     """
 
 
@@ -69,9 +69,7 @@ class CampaignPlan:
     source_model: str = "rc11"
     budget_candidates: int = 400_000
     augment: bool = True
-    #: worker threads (in-process caches shared)
-    workers: int = 1
-    #: worker processes (> 0 overrides ``workers``)
+    #: worker processes (0 = serial, in this process)
     processes: int = 0
     #: run only the k-th of n deterministic cell partitions
     shard: Optional[Tuple[int, int]] = None
@@ -115,8 +113,6 @@ class CampaignPlan:
         if self.shard is not None and not isinstance(self.shard, tuple):
             object.__setattr__(self, "shard", tuple(self.shard))
 
-        if self.workers < 1:
-            raise PlanError(f"workers must be >= 1, got {self.workers}")
         if self.processes < 0:
             raise PlanError(f"processes must be >= 0, got {self.processes}")
         if self.budget_candidates < 1:
@@ -222,7 +218,6 @@ class CampaignPlan:
             "source_model": self.source_model,
             "budget_candidates": self.budget_candidates,
             "augment": self.augment,
-            "workers": self.workers,
             "processes": self.processes,
             "shard": list(self.shard) if self.shard else None,
             "resume": self.resume,
@@ -257,8 +252,7 @@ class FarmPlan:
     #: override the blessed source model — the deliberate-perturbation
     #: lever (a farm run under a different model *should* drift)
     source_model: Optional[str] = None
-    #: worker threads / processes, exactly as in :class:`CampaignPlan`
-    workers: int = 1
+    #: worker processes, exactly as in :class:`CampaignPlan`
     processes: int = 0
     #: re-bless: write the observed records as the new baselines instead
     #: of failing on drift
@@ -271,8 +265,6 @@ class FarmPlan:
                 object.__setattr__(self, name, tuple(value))
         if not self.root:
             raise PlanError("a farm plan needs a corpus root directory")
-        if self.workers < 1:
-            raise PlanError(f"workers must be >= 1, got {self.workers}")
         if self.processes < 0:
             raise PlanError(f"processes must be >= 0, got {self.processes}")
         if self.bless and self.source_model is not None:
@@ -299,7 +291,6 @@ class FarmPlan:
                 None if self.profiles is None else list(self.profiles)
             ),
             "source_model": self.source_model,
-            "workers": self.workers,
             "processes": self.processes,
             "bless": self.bless,
         }

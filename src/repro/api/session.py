@@ -101,6 +101,8 @@ class Session:
         self.caches_explicit = (
             source_cache is not None or result_cache is not None
         )
+        # the benchmark harness (perfbench/) reads source_cache.hits and
+        # .misses, so the attribute keeps this name and meaning
         self.source_cache = (
             source_cache if source_cache is not None else SourceSimCache()
         )
@@ -347,9 +349,9 @@ class Session:
         budget: Optional[Budget] = None,
         source_result=None,
     ) -> TelechatResult:
-        """Run test_tv on one C litmus test — the session-scoped
-        replacement for the deprecated module-level ``test_compilation``.
-        """
+        """Run test_tv on one C litmus test — :func:`run_test_tv` with
+        models and profiles resolved against this session and the
+        session's cached toolchain."""
         resolved_profile = self.profile(profile)
         if budget is None and self.budget_candidates is not None:
             budget = Budget(max_candidates=self.budget_candidates)
@@ -410,7 +412,8 @@ class Session:
     def toolchain(self) -> "Toolchain":
         """The session's staged tool-chain — run stages individually,
         inspect ``.describe()`` (stage inventory + per-stage cache
-        counters), or pass to the bare engine entry points."""
+        counters), or pass to the bare engine entry points.  The
+        benchmark harness (perfbench/) reads its cache counters here."""
         return self._toolchain
 
     def explain(
@@ -533,7 +536,7 @@ class Session:
         :class:`~repro.api.events.FarmFinished`).
 
         ``plan`` is a :class:`~repro.api.plan.FarmPlan` — or just the
-        corpus root directory, for an unfiltered single-threaded pass::
+        corpus root directory, for an unfiltered serial pass::
 
             drift = 0
             for event in session.farm("tests/corpus"):

@@ -11,9 +11,8 @@ the batch-side vocabulary every backend and mode shares:
   never test names, so two different tests named ``LB001`` can't share
   a verdict);
 * the verdict-record shapers (``_verdict_record``/``_shape_record``) —
-  the single status contract the serial, thread and process backends
-  and the persistent store all speak;
-* the deprecated batch shim :func:`run_campaign`.
+  the single status contract the serial and process backends and the
+  persistent store all speak.
 
 The reproduction target is the *shape* of Table IV, whatever the suite
 size: positives only on Armv8, Armv7, RISC-V and PowerPC (the Fig. 7
@@ -25,24 +24,12 @@ for GCC ``-O1`` on Armv7 (the deleted control dependency, masked at
 
 from __future__ import annotations
 
-# The executors are re-exported module attributes, not mere imports: this
-# module's namespace is the campaign engine's historical
-# extension/monkeypatch surface.  The streaming engine in
-# :mod:`repro.api.engine` late-binds ``campaign.ThreadPoolExecutor``,
-# ``campaign.ProcessPoolExecutor`` and ``campaign.test_compilation`` so
-# tests and embedders can swap them here, exactly as they always have.
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
+# a module attribute the engine looks up when it opens a pool: the
+# benchmark harness (perfbench/) counts pool starts by patching
+# ``campaign.ProcessPoolExecutor``
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..compiler.profiles import (
     GCC_OPT_LEVELS,
@@ -52,14 +39,8 @@ from ..compiler.profiles import (
 from ..core.cache import KeyedCache
 from ..core.errors import ReproError, SimulationTimeout
 from ..lang.ast import CLitmus
-from ..tools.diy import DiyConfig
-from .store import STORE_SCHEMA, CampaignStore
+from .store import STORE_SCHEMA
 from .telechat import TelechatResult
-# bound as a module attribute — and NOT the deprecation shim — for the
-# same late-binding reason as the executors above
-from .telechat import run_test_tv as test_compilation  # noqa: F401
-# the differential cell evaluator, same late-binding surface
-from .telechat import run_differential  # noqa: F401
 
 #: Table IV's column order.
 CAMPAIGN_OPTS = ("-O1", "-O2", "-O3", "-Ofast", "-Og")
@@ -119,11 +100,6 @@ class CampaignCell:
         self.errors += other.errors
 
 
-# the campaign caches' exactly-once contract now lives in core; the old
-# private name stays bound for embedders that reached for it
-_KeyedCache = KeyedCache
-
-
 class SourceSimCache(KeyedCache):
     """Source-side simulations keyed by
     ``(test digest, source_model, augment, budget_candidates)``.
@@ -143,7 +119,7 @@ class ResultCache(KeyedCache):
     ``(test digest, profile, source_model, augment, budget_candidates)``.
 
     Within one campaign every key is unique; share one instance across
-    ``run_campaign`` calls (re-runs, Claim-4 style model sweeps over the
+    sessions (re-runs, Claim-4 style model sweeps over the
     same suite) to skip already-tested cells entirely.  The campaign
     parameters that change a cell's result are part of the key, so a
     re-run with a different budget or augmentation re-simulates instead
@@ -174,8 +150,6 @@ class CampaignReport:
     cached_cells: int = 0
     #: cells replayed from the persistent store without re-running
     store_hits: int = 0
-    #: worker threads used
-    workers: int = 1
     #: worker processes used (0 = in-process execution)
     processes: int = 0
     #: the (k, n) cell shard this report covers (None = the whole campaign)
@@ -221,7 +195,6 @@ class CampaignReport:
             ),
             "cached_cells": self.cached_cells,
             "store_hits": self.store_hits,
-            "workers": self.workers,
             "processes": self.processes,
             "shard": list(self.shard) if self.shard else None,
             "positives": [list(p) for p in self.positives],
@@ -245,7 +218,7 @@ class CampaignReport:
                 f"{self.processes} process{'es' if self.processes != 1 else ''}"
             )
         else:
-            parallelism = f"{self.workers} worker{'s' if self.workers != 1 else ''}"
+            parallelism = "serial"
         lines = [
             f"Campaign under source model {self.source_model!r}: "
             f"{self.tests_input} C tests input, {self.compiled_tests} "
@@ -307,7 +280,6 @@ def merge_reports(reports: Sequence[CampaignReport]) -> CampaignReport:
         raise ValueError(f"cannot merge reports across source models {sorted(models)}")
     merged = CampaignReport(
         source_model=reports[0].source_model,
-        workers=max(r.workers for r in reports),
         processes=max(r.processes for r in reports),
     )
     merged.tests_input = max(r.tests_input for r in reports)
@@ -391,7 +363,7 @@ def _shape_record(
     """Run one cell producer and shape its outcome onto ``base``.
 
     The single status contract shared by every execution backend *and*
-    both campaign modes — serial, thread pool and process pool must emit
+    both campaign modes — serial and process pool must emit
     byte-identical record shapes or the store would replay whichever
     backend wrote last, and a new status class added here reaches tv and
     differential records together.
@@ -425,64 +397,3 @@ def _verdict_record(
         ),
         produce_result,
     )
-
-
-def run_campaign(
-    tests: Optional[Sequence[CLitmus]] = None,
-    config: Optional[DiyConfig] = None,
-    arches: Sequence[str] = tuple(a for a, _ in ARCH_DISPLAY),
-    opts: Sequence[str] = ("-O1", "-O2", "-O3"),
-    compilers: Sequence[str] = ("llvm", "gcc"),
-    source_model: str = "rc11",
-    budget_candidates: int = 400_000,
-    augment: bool = True,
-    workers: int = 1,
-    processes: int = 0,
-    source_cache: Optional[SourceSimCache] = None,
-    result_cache: Optional[ResultCache] = None,
-    store: Optional[Union[str, CampaignStore]] = None,
-    resume: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-) -> CampaignReport:
-    """Deprecated batch shim over the streaming campaign engine.
-
-    .. deprecated::
-        Use ``Session().run(CampaignPlan(...))`` — or, for streaming,
-        ``Session().campaign(plan)`` — from :mod:`repro.api`.  This shim
-        survives for external callers only (README: deprecation policy);
-        calling it from inside :mod:`repro` raises.
-
-    It no longer contains a campaign runner: every keyword argument maps
-    onto a :class:`repro.api.CampaignPlan` field, the plan runs in a
-    throwaway :class:`repro.api.Session` (carrying the given caches and
-    ``store``), and the event stream folds back into the
-    :class:`CampaignReport` this function always returned.  The
-    historical ``ValueError`` contracts (resume-without-store, process
-    pool + in-memory caches, bad shard) are enforced by the plan and the
-    engine — :class:`~repro.api.PlanError` subclasses ``ValueError``
-    with the same messages.  Campaign semantics (hoisted source
-    simulation, worker pools, store replay, shard merging) are
-    documented on the plan and engine, not here.
-    """
-    from ..api import CampaignPlan, Session
-    from ..api._deprecation import warn_deprecated
-
-    warn_deprecated("run_campaign()", "Session.campaign(CampaignPlan(...))")
-    plan = CampaignPlan(
-        tests=None if tests is None else tuple(tests),
-        config=config,
-        arches=tuple(arches),
-        opts=tuple(opts),
-        compilers=tuple(compilers),
-        source_model=source_model,
-        budget_candidates=budget_candidates,
-        augment=augment,
-        workers=max(1, workers),
-        processes=max(0, processes),
-        shard=shard,
-        resume=resume,
-    )
-    session = Session(
-        store=store, source_cache=source_cache, result_cache=result_cache
-    )
-    return session.campaign(plan).report()

@@ -187,7 +187,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         arches=tuple(args.arch) if args.arch else tuple(ARCHES),
         opts=tuple(args.opt) if args.opt else ("-O1", "-O2", "-O3"),
         source_model=args.cmem,
-        workers=args.workers,
         processes=args.processes,
         shard=args.shard,
         resume=args.resume,
@@ -278,7 +277,6 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
             suites=tuple(args.suites) if args.suites else None,
             profiles=tuple(args.profiles) if args.profiles else None,
             source_model=args.cmem,
-            workers=args.workers,
             processes=args.processes,
             bless=bless,
         )
@@ -315,7 +313,7 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
                     )
             elif isinstance(event, FarmFinished):
                 drift = event.drift
-    except (FarmError, PlanError) as exc:
+    except FarmError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if not args.json:
@@ -386,7 +384,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         arches=tuple(args.arch) if args.arch else ("aarch64",),
         opts=tuple(args.opt) if args.opt else ("-O2",),
         source_model=args.cmem,
-        workers=args.workers,
         processes=args.processes,
         resume=args.resume,
         mutations=tuple(args.operators) if args.operators else None,
@@ -708,10 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max new mutants per round (default 64)")
     hunt.add_argument("--no-reduce", action="store_true",
                       help="keep raw positives instead of minimising them")
-    hunt.add_argument("--workers", type=int, default=1,
-                      help="worker threads")
     hunt.add_argument("--processes", type=int, default=0,
-                      help="worker processes (overrides --workers)")
+                      help="worker processes (default 0: serial)")
     hunt.add_argument("--store", metavar="PATH",
                       help="persistent verdict store (reproducers are "
                            "stored with mode=hunt + lineage + C source)")
@@ -751,10 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--arch", action="append", choices=ARCHES)
     campaign.add_argument("--opt", action="append")
     campaign.add_argument("--cmem", default="rc11")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="campaign worker threads")
     campaign.add_argument("--processes", type=int, default=0,
-                          help="campaign worker processes (overrides --workers)")
+                          help="campaign worker processes (default 0: "
+                               "serial)")
     campaign.add_argument("--store", metavar="PATH",
                           help="persistent verdict store (JSONL, appended)")
     campaign.add_argument("--resume", action="store_true",
@@ -824,10 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             # blessing under an override would mislabel the baselines
             farm_cmd.set_defaults(cmem=None)
-        farm_cmd.add_argument("--workers", type=int, default=1,
-                              help="worker threads")
         farm_cmd.add_argument("--processes", type=int, default=0,
-                              help="worker processes (overrides --workers)")
+                              help="worker processes (default 0: serial)")
         farm_cmd.add_argument("--store", metavar="PATH",
                               help="persistent verdict store (JSONL, appended)")
         farm_cmd.add_argument("--json", action="store_true",
@@ -891,7 +883,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # uniform file:line:col rendering for bad input files
         print(exc.render(), file=sys.stderr)
         return 2
-    except LintError as exc:
+    except (LintError, PlanError) as exc:
+        # a plan that fails validation (bad --processes, an unknown
+        # --cmem, ...) is bad input too
         print(str(exc), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,7 +1,7 @@
 """The persistent campaign store: a content-addressed verdict log.
 
 Campaigns at the paper's Table IV scale outlive a process — and a
-session.  This module gives :func:`~repro.pipeline.campaign.run_campaign`
+session.  This module gives a :class:`repro.api.Session`'s campaigns
 an on-disk memory: an append-only JSONL log of verdict records keyed by
 the *content* of the cell that produced them::
 

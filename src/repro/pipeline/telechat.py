@@ -91,42 +91,6 @@ def run_test_tv(
     )
 
 
-def test_compilation(
-    litmus: CLitmus,
-    profile: CompilerProfile,
-    source_model: Union[str, Model] = "rc11",
-    target_model: Optional[Union[str, Model]] = None,
-    augment: bool = True,
-    optimise: bool = True,
-    unroll: int = 2,
-    budget: Optional[Budget] = None,
-    source_result: Optional[SimulationResult] = None,
-    toolchain: Optional[Toolchain] = None,
-) -> TelechatResult:
-    """Deprecated alias of :func:`run_test_tv`.
-
-    Use :meth:`repro.api.Session.test` (session-scoped registries and
-    caches) or :func:`run_test_tv` (bare engine call).  Calling this shim
-    from inside :mod:`repro` raises — internal code must not depend on
-    entry points the public API deprecates.
-    """
-    from ..api._deprecation import warn_deprecated
-
-    warn_deprecated("test_compilation()", "Session.test() or run_test_tv()")
-    return run_test_tv(
-        litmus,
-        profile,
-        source_model=source_model,
-        target_model=target_model,
-        augment=augment,
-        optimise=optimise,
-        unroll=unroll,
-        budget=budget,
-        source_result=source_result,
-        toolchain=toolchain,
-    )
-
-
 def run_differential(
     litmus: CLitmus,
     profile_a: CompilerProfile,
@@ -163,9 +127,8 @@ def run_differential(
     )
 
 
-# the names match pytest's default collection pattern; these are library
-# entry points, not tests
-test_compilation.__test__ = False  # type: ignore[attr-defined]
+# the name matches pytest's default collection pattern; this is a library
+# entry point, not a test
 run_test_tv.__test__ = False  # type: ignore[attr-defined]
 
 

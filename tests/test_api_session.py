@@ -3,7 +3,6 @@ stream↔batch parity guarantee."""
 
 import json
 import multiprocessing
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -21,7 +20,8 @@ from repro.api import (
 )
 from repro.cat.registry import MODELS, get_source
 from repro.papertests import all_tests, fig7_lb
-from repro.pipeline.campaign import ResultCache, SourceSimCache, run_campaign
+from repro.pipeline.campaign import ResultCache, SourceSimCache
+from repro.pipeline.store import CampaignStore
 from repro.tools.mcompare import baseline_view
 from repro.tools.diy import DiyConfig, build_test, get_shape
 
@@ -43,13 +43,12 @@ def report_bytes(report):
     ).encode()
 
 
-def legacy_run(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_campaign(
-            config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
-            compilers=PLAN.compilers, **kwargs,
-        )
+def backend_bytes(report):
+    """``report_bytes`` minus ``processes``: the one field that is honest
+    run metadata rather than a result, masked before comparing backends."""
+    data = report.to_jsonable(include_timing=False)
+    data.pop("processes")
+    return json.dumps(data, sort_keys=True).encode()
 
 
 # --------------------------------------------------------------------------- #
@@ -82,8 +81,6 @@ class TestPlanValidation:
             session.campaign(CampaignPlan(config=CONFIG, processes=2))
 
     def test_structural_bounds(self):
-        with pytest.raises(PlanError, match="workers"):
-            CampaignPlan(workers=0)
         with pytest.raises(PlanError, match="processes"):
             CampaignPlan(processes=-1)
         with pytest.raises(PlanError, match="budget_candidates"):
@@ -173,22 +170,36 @@ class TestEventStream:
         assert len(session.result_cache) < started.cells_total
         assert session.source_cache.misses < started.tests_input
 
-    def test_early_exit_cancels_queued_pool_work(self):
-        """Abandoning a parallel stream cancels the queued cells: pool
-        shutdown waits only for what is already running."""
-        session = Session()
-        plan = CampaignPlan(config=CONFIG, arches=PLAN.arches,
-                            opts=PLAN.opts, compilers=PLAN.compilers,
-                            workers=2)
+    def test_early_exit_cancels_queued_pool_work(self, tmp_path, monkeypatch):
+        """Abandoning a pooled stream cancels the queued cells: pool
+        shutdown waits only for what is already running, and only the
+        consumed cell is persisted (worker evaluations are counted in a
+        file: forked workers inherit the counting wrapper)."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("counting worker calls needs forked workers")
+        calls = tmp_path / "calls"
+        calls.write_text("")
+        real = engine.run_test_tv
+
+        def counting(*args, **kwargs):
+            with open(calls, "a") as handle:
+                handle.write("x")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_test_tv", counting)
+        session = Session(store=CampaignStore(tmp_path / "s.jsonl"))
+        plan = replace(PLAN, processes=2)
         started = None
         for event in session.campaign(plan):
             if isinstance(event, CampaignStarted):
                 started = event
             if isinstance(event, CellFinished):
                 break
-        # at most: the consumed cell + the <= workers cells in flight
-        # when the stream was closed (the rest were cancelled)
-        assert len(session.result_cache) < started.cells_total // 2
+        assert session.store.appended == 1
+        # at most: the consumed cell, the other test's first cell, and
+        # the few cells the pool had queued for its workers when the
+        # stream was closed (the rest were cancelled)
+        assert len(calls.read_text()) < started.cells_total // 2
 
 
 # --------------------------------------------------------------------------- #
@@ -196,41 +207,37 @@ class TestEventStream:
 # --------------------------------------------------------------------------- #
 class TestParity:
     @pytest.fixture(scope="class")
-    def legacy_serial(self):
-        return legacy_run()
+    def serial_events(self):
+        return list(Session().campaign(PLAN))
 
-    def test_serial_parity(self, legacy_serial):
-        folded = Session().campaign(PLAN).report()
-        assert report_bytes(folded) == report_bytes(legacy_serial)
+    def test_serial_parity(self, serial_events):
+        """Folding is order-independent: the serial stream folded in
+        reverse completion order gives the same bytes."""
+        cells = [e for e in serial_events if isinstance(e, CellFinished)]
+        reordered = [serial_events[0], *reversed(cells), serial_events[-1]]
+        assert report_bytes(fold_events(reordered)) == \
+            report_bytes(fold_events(serial_events))
 
-    def test_thread_parity(self):
-        plan = CampaignPlan(
-            config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
-            compilers=PLAN.compilers, workers=4,
+    def test_process_parity(self, serial_events):
+        """The process backend folds to the serial report's bytes, except
+        the ``processes`` metadata."""
+        pooled = Session().campaign(replace(PLAN, processes=2)).report()
+        assert pooled.processes == 2
+        assert backend_bytes(pooled) == backend_bytes(
+            fold_events(serial_events)
         )
-        folded = Session().campaign(plan).report()
-        assert report_bytes(folded) == report_bytes(legacy_run(workers=4))
 
-    def test_process_parity(self):
-        plan = CampaignPlan(
-            config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
-            compilers=PLAN.compilers, processes=2,
-        )
-        folded = Session().campaign(plan).report()
-        assert report_bytes(folded) == report_bytes(legacy_run(processes=2))
+    def test_serial_process_agree(self, serial_events):
+        """Both backends produce the same verdict record for every cell."""
+        pooled = list(Session().campaign(replace(PLAN, processes=2)))
 
-    def test_serial_thread_process_agree(self, legacy_serial):
-        """All three backends fold to the identical Table IV bytes."""
-        serial = Session().campaign(PLAN).report()
-        threaded = Session().campaign(
-            CampaignPlan(config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
-                         compilers=PLAN.compilers, workers=3)
-        ).report()
-        # workers/processes are honest run metadata: mask them before the
-        # cross-backend comparison (cells/positives/sims must agree)
-        a, b = serial.to_jsonable(include_timing=False), threaded.to_jsonable(include_timing=False)
-        a["workers"] = b["workers"] = 0
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        def records(events):
+            return {
+                e.index: baseline_view(e.record)
+                for e in events if isinstance(e, CellFinished)
+            }
+
+        assert records(pooled) == records(serial_events)
 
     def test_sharded_stream_merges_to_single_run(self):
         session = Session()
@@ -358,15 +365,12 @@ class TestFarmParity:
 
     def test_backends_bless_identically(self, corpus_template, tmp_path):
         serial = self._bless_bytes(corpus_template, tmp_path / "s")
-        threaded = self._bless_bytes(corpus_template, tmp_path / "t",
-                                     workers=4)
         pooled = self._bless_bytes(corpus_template, tmp_path / "p",
                                    processes=2)
         assert set(serial) == {
             "mini--gcc-O1-ARM--rc11.jsonl",
             "mini--llvm-O2-AArch64--rc11.jsonl",
         }
-        assert serial == threaded
         assert serial == pooled
 
 
@@ -431,6 +435,30 @@ class TestSession:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "aarch64"
+
+    def test_unknown_source_model_is_a_plan_error(self):
+        """A source model that resolves to nothing is bad input, raised
+        before any cell runs — not a campaign of error cells — in every
+        mode; a session-registered model resolves, in its session only."""
+        session = Session()
+        for plan in (
+            CampaignPlan(config=CONFIG, source_model="nosuchmodel"),
+            CampaignPlan(mode="hunt", tests=(fig7_lb(),),
+                         source_model="nosuchmodel"),
+            CampaignPlan(mode="differential", tests=(fig7_lb(),),
+                         profiles=("llvm-O1-AArch64", "llvm-O3-AArch64"),
+                         source_model="nosuchmodel"),
+        ):
+            with pytest.raises(PlanError, match="'nosuchmodel'"):
+                session.run(plan)
+        session.register_model("mine", get_source("rc11"))
+        plan = CampaignPlan(config=CONFIG, arches=("aarch64",),
+                            opts=("-O2",), compilers=("llvm",),
+                            source_model="mine")
+        report = session.run(plan)
+        assert report.compiled_tests == report.tests_input > 0
+        with pytest.raises(PlanError, match="'mine'"):
+            Session().run(plan)
 
     def test_private_model_refused_by_process_pool(self):
         session = Session()
@@ -539,44 +567,3 @@ class TestSession:
         assert {k: vars(v) for k, v in report.cells.items()} == \
                {k: vars(v) for k, v in cold.cells.items()}
         assert report.positives == cold.positives
-
-
-# --------------------------------------------------------------------------- #
-# the deprecation shims
-# --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_run_campaign_warns_external_callers(self):
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            run_campaign(
-                tests=[build_test(get_shape("LB"), "rlx", name="LB001")],
-                arches=("aarch64",), opts=("-O2",), compilers=("llvm",),
-            )
-
-    def test_test_compilation_warns_external_callers(self):
-        from repro.pipeline.telechat import test_compilation
-
-        with pytest.warns(DeprecationWarning, match="test_compilation"):
-            test_compilation(
-                build_test(get_shape("LB"), "rlx", name="LB001"),
-                Session().profile("llvm-O2-AArch64"),
-            )
-
-    def test_promoted_to_error_inside_repro(self):
-        """A shim called from a repro-internal module raises instead of
-        warning — internal code cannot depend on what it deprecates."""
-        from repro.pipeline.telechat import test_compilation
-
-        fake_internals = {
-            "__name__": "repro.pipeline.fake_caller",
-            "test_compilation": test_compilation,
-        }
-        exec(
-            "def call_shim(*args, **kwargs):\n"
-            "    return test_compilation(*args, **kwargs)\n",
-            fake_internals,
-        )
-        with pytest.raises(DeprecationWarning, match="inside repro"):
-            fake_internals["call_shim"](
-                build_test(get_shape("LB"), "rlx", name="LB001"),
-                Session().profile("llvm-O2-AArch64"),
-            )

@@ -1,10 +1,15 @@
-"""Tests for the campaign runner and the telechat CLI."""
+"""Tests for campaign reports and the telechat CLI."""
 
 import pytest
 
-from repro.pipeline.campaign import CampaignCell, CampaignReport, run_campaign
+from repro.api import CampaignPlan, Session
+from repro.pipeline.campaign import CampaignCell, CampaignReport
 from repro.pipeline.cli import build_parser, main
 from repro.tools.diy import DiyConfig
+
+
+def run_plan(**plan_fields):
+    return Session().run(CampaignPlan(**plan_fields))
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +22,7 @@ def small_report():
         deps=("po", "ctrl2"),
         variants=("load-store",),
     )
-    return run_campaign(
+    return run_plan(
         config=config,
         arches=("aarch64", "armv7", "x86_64", "mips64"),
         opts=("-O1", "-O2"),
@@ -53,7 +58,7 @@ class TestCampaign:
         config = DiyConfig(shapes=("SB", "LB"), orders=("rlx",),
                            fences=(None,), deps=("po",),
                            variants=("load-store",))
-        report = run_campaign(
+        report = run_plan(
             config=config, arches=("mips64", "x86_64"), opts=("-O2",),
             compilers=("llvm",), source_model="rc11+lb",
         )
@@ -76,7 +81,7 @@ class TestCampaign:
         """Claim 4, at campaign scale."""
         config = DiyConfig(shapes=("LB",), orders=("rlx",), fences=(None,),
                            deps=("po",), variants=("load-store",))
-        report = run_campaign(
+        report = run_plan(
             config=config, arches=("aarch64", "ppc64"), opts=("-O2",),
             compilers=("llvm",), source_model="rc11+lb",
         )

@@ -3,9 +3,11 @@ campaign-engine bugfixes (cache identity, pool lifecycle, verdict
 strictness)."""
 
 import json
+import multiprocessing
 
 import pytest
 
+from repro.api import CampaignPlan, Session, engine
 from repro.lang.parser import parse_c_litmus
 from repro.lang.printer import print_c_litmus
 from repro.pipeline import campaign as campaign_module
@@ -14,7 +16,6 @@ from repro.pipeline.campaign import (
     ResultCache,
     SourceSimCache,
     merge_reports,
-    run_campaign,
 )
 from repro.pipeline.store import STORE_SCHEMA, CampaignStore, cell_key, record_key
 from repro.pipeline.telechat import (
@@ -34,9 +35,25 @@ OPTS = ("-O1", "-O2")
 COMPILERS = ("llvm", "gcc")
 
 
+def run_plan(store=None, source_cache=None, result_cache=None,
+                 **plan_fields):
+    """One campaign in a fresh session: the store and caches are session
+    state, everything else is a plan field."""
+    session = Session(
+        store=store, source_cache=source_cache, result_cache=result_cache
+    )
+    return session.run(CampaignPlan(**plan_fields))
+
+
 def small_run(**kwargs):
-    return run_campaign(config=CONFIG, arches=ARCHES, opts=OPTS,
+    return run_plan(config=CONFIG, arches=ARCHES, opts=OPTS,
                         compilers=COMPILERS, **kwargs)
+
+
+def needs_fork():
+    """Patches reach pool workers only when they fork from this process."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("patching worker behaviour needs forked workers")
 
 
 # --------------------------------------------------------------------------- #
@@ -81,12 +98,12 @@ class TestCacheIdentity:
         relaxed = build_test(get_shape("LB"), "rlx", name="LB001")
         strong = build_test(get_shape("LB"), "sc", name="LB001")
         source_cache, result_cache = SourceSimCache(), ResultCache()
-        first = run_campaign(
+        first = run_plan(
             tests=[relaxed], arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
             source_cache=source_cache, result_cache=result_cache,
         )
-        second = run_campaign(
+        second = run_plan(
             tests=[strong], arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
             source_cache=source_cache, result_cache=result_cache,
@@ -102,10 +119,10 @@ class TestCacheIdentity:
         a = build_test(get_shape("LB"), "rlx", name="LB001")
         b = build_test(get_shape("LB"), "rlx", name="LB999")
         source_cache, result_cache = SourceSimCache(), ResultCache()
-        run_campaign(tests=[a], arches=("aarch64",), opts=("-O2",),
+        run_plan(tests=[a], arches=("aarch64",), opts=("-O2",),
                      compilers=("llvm",),
                      source_cache=source_cache, result_cache=result_cache)
-        again = run_campaign(tests=[b], arches=("aarch64",), opts=("-O2",),
+        again = run_plan(tests=[b], arches=("aarch64",), opts=("-O2",),
                              compilers=("llvm",),
                              source_cache=source_cache,
                              result_cache=result_cache)
@@ -140,9 +157,12 @@ class TestCellVerdicts:
 # pool lifecycle
 # --------------------------------------------------------------------------- #
 class TestPoolLifecycle:
-    def test_thread_pool_shut_down_on_unexpected_exception(self, monkeypatch):
+    def test_process_pool_shut_down_on_unexpected_exception(
+        self, monkeypatch
+    ):
+        needs_fork()
         pools = []
-        real_pool = campaign_module.ThreadPoolExecutor
+        real_pool = campaign_module.ProcessPoolExecutor
 
         def tracking_pool(*args, **kwargs):
             pool = real_pool(*args, **kwargs)
@@ -152,13 +172,14 @@ class TestPoolLifecycle:
         def explode(*args, **kwargs):
             raise RuntimeError("not a simulation failure")
 
-        monkeypatch.setattr(campaign_module, "ThreadPoolExecutor", tracking_pool)
-        monkeypatch.setattr(campaign_module, "test_compilation", explode)
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor",
+                            tracking_pool)
+        monkeypatch.setattr(engine, "run_test_tv", explode)
         with pytest.raises(RuntimeError, match="not a simulation failure"):
-            run_campaign(config=CONFIG, arches=("aarch64",), opts=("-O2",),
-                         compilers=("llvm",), workers=2)
+            run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
+                         compilers=("llvm",), processes=2)
         assert len(pools) == 1
-        assert pools[0]._shutdown  # workers released, not leaked
+        assert pools[0]._shutdown_thread  # workers released, not leaked
 
 
 # --------------------------------------------------------------------------- #
@@ -280,7 +301,7 @@ class TestStore:
         campaign resumes from every cell that finished."""
         path = tmp_path / "campaign.jsonl"
         calls = []
-        real = campaign_module.test_compilation
+        real = engine.run_test_tv
 
         def explode_on_third(*args, **kwargs):
             calls.append(1)
@@ -288,20 +309,19 @@ class TestStore:
                 raise RuntimeError("simulated crash")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(campaign_module, "test_compilation",
-                            explode_on_third)
+        monkeypatch.setattr(engine, "run_test_tv", explode_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path)
         survivors = CampaignStore(path)
         assert len(survivors) == 2  # the cells that finished before the crash
         # and a resumed run only re-simulates what the crash swallowed
-        monkeypatch.setattr(campaign_module, "test_compilation", real)
+        monkeypatch.setattr(engine, "run_test_tv", real)
         resumed = small_run(store=path, resume=True)
         assert resumed.store_hits == 2
 
     def test_unbuildable_profile_is_an_error_cell_not_an_abort(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        report = run_campaign(
+        report = run_plan(
             tests=[build_test(get_shape("LB"), "rlx", name="LB001")],
             arches=("no-such-arch",), opts=("-O2",), compilers=("llvm",),
             store=path,
@@ -323,18 +343,18 @@ class TestStore:
     ):
         """One crashing cell must not discard the verdicts of cells the
         pool still ran to completion."""
+        needs_fork()
         path = tmp_path / "campaign.jsonl"
-        real = campaign_module.test_compilation
+        real = engine.run_test_tv
 
         def explode_for_gcc(litmus, profile, **kwargs):
             if profile.compiler == "gcc":
                 raise RuntimeError("simulated crash")
             return real(litmus, profile, **kwargs)
 
-        monkeypatch.setattr(campaign_module, "test_compilation",
-                            explode_for_gcc)
+        monkeypatch.setattr(engine, "run_test_tv", explode_for_gcc)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            small_run(store=path, workers=2)
+            small_run(store=path, processes=2)
         survivors = CampaignStore(path)
         # every llvm cell finished and was persisted despite gcc crashing
         llvm_cells = sum(
@@ -348,7 +368,7 @@ class TestStore:
 
     def test_store_path_accepted_directly(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        report = run_campaign(
+        report = run_plan(
             tests=[build_test(get_shape("LB"), "rlx", name="LB001")],
             arches=("aarch64",), opts=("-O2",), compilers=("llvm",),
             store=str(path),
@@ -409,7 +429,7 @@ class TestShardMerge:
 
     def test_merge_rejects_mixed_models(self):
         a = small_run(shard=(0, 2))
-        b = run_campaign(config=CONFIG, arches=ARCHES, opts=OPTS,
+        b = run_plan(config=CONFIG, arches=ARCHES, opts=OPTS,
                          compilers=COMPILERS, source_model="rc11+lb",
                          shard=(1, 2))
         with pytest.raises(ValueError, match="source models"):
@@ -421,9 +441,9 @@ class TestShardMerge:
 # --------------------------------------------------------------------------- #
 class TestProcessPool:
     def test_process_pool_matches_serial(self):
-        serial = run_campaign(config=CONFIG, arches=("aarch64", "armv7"),
+        serial = run_plan(config=CONFIG, arches=("aarch64", "armv7"),
                               opts=("-O2",), compilers=("llvm",))
-        parallel = run_campaign(config=CONFIG, arches=("aarch64", "armv7"),
+        parallel = run_plan(config=CONFIG, arches=("aarch64", "armv7"),
                                 opts=("-O2",), compilers=("llvm",),
                                 processes=2)
         assert parallel.processes == 2
@@ -437,9 +457,9 @@ class TestProcessPool:
 
     def test_process_pool_fills_a_store_resumable_in_process(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        cold = run_campaign(config=CONFIG, arches=("aarch64",), opts=("-O2",),
+        cold = run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
                             compilers=("llvm",), processes=2, store=path)
-        warm = run_campaign(config=CONFIG, arches=("aarch64",), opts=("-O2",),
+        warm = run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
                             compilers=("llvm",), store=path, resume=True)
         assert warm.store_hits == sum(c.total for c in cold.cells.values())
         assert warm.source_simulations == 0

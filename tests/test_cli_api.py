@@ -2,6 +2,7 @@
 streaming campaign output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,23 @@ IO_ERROR_CASES = [
     (["farm", "diff", "{baseline}", "{missing}"], "{missing}"),
 ]
 
+CORPUS = str(Path(__file__).parent / "corpus")
+
+#: (command line, what the one-line diagnostic must say) for campaign
+#: plans that fail validation: bad input, so exit 2 like a bad file
+PLAN_ERROR_CASES = [
+    (["campaign", "--small", "--processes", "-1"], "processes must be >= 0"),
+    (["hunt", "--seeds", "examples", "--processes", "-1"],
+     "processes must be >= 0"),
+    (["farm", "run", "--root", CORPUS, "--processes", "-1"],
+     "processes must be >= 0"),
+    (["campaign", "--small", "--cmem", "nosuchmodel"], "'nosuchmodel'"),
+    (["hunt", "--seeds", "examples", "--cmem", "nosuchmodel"],
+     "'nosuchmodel'"),
+    (["farm", "run", "--root", CORPUS, "--cmem", "nosuchmodel"],
+     "'nosuchmodel'"),
+]
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv, path", IO_ERROR_CASES)
@@ -75,6 +93,26 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(path.format(**paths) + ": ")
+
+    @pytest.mark.parametrize("argv, message", PLAN_ERROR_CASES)
+    def test_bad_plan_exits_2_with_one_line(self, capsys, argv, message):
+        assert main(argv + ["--no-progress"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["campaign", "hunt", "farm"])
+    def test_workers_flag_is_a_usage_error(self, capsys, command):
+        argv = {
+            "campaign": ["campaign", "--small"],
+            "hunt": ["hunt", "--seeds", "examples"],
+            "farm": ["farm", "run", "--root", CORPUS],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["explain", "reduce", "lint"])
     def test_unknown_name_exits_2(self, capsys, command):

@@ -263,8 +263,6 @@ class TestFarmPlanValidation:
             FarmPlan(root="x", profiles=())
 
     def test_worker_bounds(self):
-        with pytest.raises(PlanError, match="workers"):
-            FarmPlan(root="x", workers=0)
         with pytest.raises(PlanError, match="processes"):
             FarmPlan(root="x", processes=-1)
 

@@ -27,7 +27,9 @@ from repro.herd import (
 from repro.lang import parse_c_litmus
 from repro.lang.semantics import elaborate
 from repro.papertests import fig7_lb, fig10_mp_rmw, fig11_lb3
-from repro.pipeline.campaign import ResultCache, SourceSimCache, run_campaign
+from repro.api import CampaignPlan, Session
+from repro.pipeline.campaign import ResultCache, SourceSimCache
+from repro.pipeline.telechat import run_test_tv
 from repro.tools.diy import DiyConfig
 
 COWW = """
@@ -232,6 +234,12 @@ class TestBudgetSemantics:
         assert result.outcomes
 
 
+def run_plan(source_cache=None, result_cache=None, **plan_fields):
+    """One campaign in a fresh session carrying the given caches."""
+    session = Session(source_cache=source_cache, result_cache=result_cache)
+    return session.run(CampaignPlan(**plan_fields))
+
+
 class TestCampaignCaches:
     CONFIG = DiyConfig(
         shapes=("LB",), orders=("rlx",), fences=(None,),
@@ -240,7 +248,7 @@ class TestCampaignCaches:
 
     def test_source_simulated_exactly_once_per_model(self):
         cache = SourceSimCache()
-        report = run_campaign(
+        report = run_plan(
             config=self.CONFIG, arches=("aarch64", "x86_64"),
             opts=("-O1", "-O2"), compilers=("llvm", "gcc"),
             source_cache=cache,
@@ -253,12 +261,12 @@ class TestCampaignCaches:
 
     def test_result_cache_skips_repeat_cells(self):
         source_cache, result_cache = SourceSimCache(), ResultCache()
-        first = run_campaign(
+        first = run_plan(
             config=self.CONFIG, arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
             source_cache=source_cache, result_cache=result_cache,
         )
-        again = run_campaign(
+        again = run_plan(
             config=self.CONFIG, arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
             source_cache=source_cache, result_cache=result_cache,
@@ -271,19 +279,19 @@ class TestCampaignCaches:
             assert cell.negative == first.cells[key].negative
 
     def test_worker_pool_is_deterministic(self):
-        serial = run_campaign(
+        serial = run_plan(
             config=self.CONFIG, arches=("aarch64", "armv7"),
             opts=("-O2",), compilers=("llvm",),
         )
-        threaded = run_campaign(
+        pooled = run_plan(
             config=self.CONFIG, arches=("aarch64", "armv7"),
-            opts=("-O2",), compilers=("llvm",), workers=4,
+            opts=("-O2",), compilers=("llvm",), processes=2,
         )
-        assert threaded.workers == 4
-        assert threaded.positives == serial.positives
-        assert threaded.source_simulations == serial.source_simulations
+        assert pooled.processes == 2
+        assert pooled.positives == serial.positives
+        assert pooled.source_simulations == serial.source_simulations
         for key, cell in serial.cells.items():
-            other = threaded.cells[key]
+            other = pooled.cells[key]
             assert (cell.positive, cell.negative, cell.equal) == (
                 other.positive, other.negative, other.equal
             )
@@ -306,14 +314,13 @@ class TestCampaignCaches:
 
     def test_telechat_source_reuse_flag(self):
         from repro.compiler import make_profile
-        from repro.pipeline import test_compilation
         from repro.tools.l2c import prepare
 
         litmus = fig7_lb()
         profile = make_profile("llvm", "-O3", "aarch64")
         source = simulate_c(prepare(litmus, augment=True), "rc11")
-        hoisted = test_compilation(litmus, profile, source_result=source)
-        inline = test_compilation(litmus, profile)
+        hoisted = run_test_tv(litmus, profile, source_result=source)
+        inline = run_test_tv(litmus, profile)
         assert hoisted.source_reused and not inline.source_reused
         assert hoisted.verdict == inline.verdict
         # a hoisted source simulation reports the *original* run's cost,

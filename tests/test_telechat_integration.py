@@ -19,11 +19,7 @@ from repro.papertests import (
     fig11_lb3,
     sb_sc,
 )
-from repro.pipeline import differential_outcomes
-from repro.pipeline import test_compilation as run_test_tv
-
-# keep pytest from collecting the imported driver as a test
-run_test_tv.__test__ = False  # type: ignore[attr-defined]
+from repro.pipeline import differential_outcomes, run_test_tv
 
 
 def verdict(litmus, profile, **kwargs):
