@@ -29,9 +29,9 @@ def nightly_campaign() -> None:
         deps=("po", "data", "ctrl2"),
         variants=("load-store",),
     )
-    # one session for the whole nightly run: its source cache simulates
-    # each test's source side once per source model, whichever worker
-    # process evaluates the test's cells
+    # one session for the whole nightly run: its toolchain's artifact
+    # cache simulates each test's source side once per source model,
+    # whichever worker process evaluates the test's cells
     session = Session()
     plan = CampaignPlan(
         config=config,

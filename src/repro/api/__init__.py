@@ -2,7 +2,8 @@
 
 * :class:`Session` — owns per-session registries (models, shapes, ISAs,
   compiler epochs, baselines — as overlays over the shipped globals),
-  caches, budgets and an optional persistent store;
+  the toolchain's artifact cache, budgets and an optional persistent
+  store;
 * :class:`CampaignPlan` — the frozen, validated campaign description;
 * the typed event stream — :meth:`Session.campaign` yields
   :class:`CampaignStarted`, :class:`CellFinished`, :class:`ShardMerged`

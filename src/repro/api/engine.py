@@ -5,9 +5,9 @@ with two backends — serial, and a process pool — that *yield* verdict
 records as they land (completion order, not work-list order);
 :func:`fold_events` reconstructs the deterministic
 :class:`~repro.pipeline.campaign.CampaignReport` from any complete
-stream.  The per-run state every mode shares — cache identity, source
-hoisting, store replay, event construction and persist-then-yield —
-lives in one :class:`_CellContext`.
+stream.  The per-run state every mode shares — source hoisting, store
+replay, event construction and persist-then-yield — lives in one
+:class:`_CellContext`.
 
 All three campaign modes run through the one skeleton:
 
@@ -31,24 +31,27 @@ Invariants the rest of the system builds on:
   :class:`HuntProgress` after each round's cells (``round_index``
   partitions the cell stream) and :class:`TestReduced` before
   ``CampaignFinished``; neither changes cell tallies.
-* **cache identity** — every cache key includes what names resolve *to*
-  in the session (model signatures, epoch bug sets, the stage token)
-  next to :meth:`CLitmus.digest` content identity, so shadowing a model
-  or swapping a stage re-simulates instead of replaying stale verdicts;
-  verdicts persisted before the shadowing are equally unreachable.
+* **one cache** — every cell runs through the session toolchain, whose
+  artifact cache keys each stage by content and by what names resolve
+  *to* in the session (model signatures, profile signatures with their
+  epoch bug sets, stage signatures), so shadowing a model or swapping a
+  stage re-simulates instead of replaying stale artifacts.
   Session-local definitions are refused for process pools (workers
   resolve against the globals) and for persistent stores (records key
   by name).
 * **source hoisting** — a test's source simulation runs once per
-  session and source model, on both backends: the session's source
-  cache (keyed by ``_CellContext.source_key_of``) is the one hoisting
-  point.  Serial runs call through it; the process backend ships each
-  test's first pending cell without a source, caches the simulation its
-  worker returns, and ships the test's other cells with it attached
-  (:func:`_run_pending`).  Workers keep no source cache, so which cell
-  simulates a source depends on the work list alone, and a source that
-  times out or errors is simulated once, its cells all getting the same
-  ``timeout``/``error`` record.
+  session and source model, on both backends: the toolchain's
+  ``simulate-source`` stage (keyed by :meth:`Toolchain.source_key`) is
+  the one hoisting point, bounded like every stage by the session's
+  ``artifact_cache_entries``.  Serial cells run straight through it; the
+  process backend ships each test's first pending cell without a
+  source, seeds the stage with the simulation its worker returns, and
+  ships the test's other cells with it attached (:func:`_run_pending`).
+  Workers keep nothing between tasks, so which cell simulates a source
+  depends on the work list alone — its record alone says
+  ``source_reused: false`` — and a source that times out or errors is
+  simulated once, its cells all getting the same ``timeout``/``error``
+  record.
 * **shard determinism** — ``shard=(k, n)`` evaluates exactly every n-th
   cell of the deterministic work list starting at the k-th; the n shard
   reports merge back to the unsharded report byte-for-byte.  Hunt work
@@ -70,13 +73,13 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..cat.registry import ARCH_MODEL
-from ..compiler.profiles import DEFAULT_VERSION, make_profile, parse_profile
+from ..compiler.profiles import make_profile, parse_profile
+from ..core.cache import KeyedCache
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
-# simulate_c and reduce_test are called through this module's globals:
-# the benchmark harness (perfbench/) patches both here
-from ..herd.simulator import SimulationResult, simulate_c
+from ..herd.simulator import SimulationResult
+# reduce_test is called through this module's globals: the benchmark
+# harness (perfbench/) patches it here
 from ..hunt.reduce import ReductionError, reduce_test
 from ..hunt.scheduler import HuntScheduler
 from ..lang.ast import CLitmus
@@ -88,7 +91,6 @@ from ..pipeline import campaign as campaign_mod
 from ..pipeline.campaign import (
     STORE_SCHEMA,
     CampaignReport,
-    SourceSimCache,
     _campaign_cells,
     _profile_name,
     _shape_record,
@@ -97,8 +99,7 @@ from ..pipeline.campaign import (
 )
 from ..pipeline.store import cell_key
 from ..pipeline.telechat import run_differential, run_test_tv
-from ..toolchain import Toolchain, profile_signature
-from ..tools.l2c import prepare
+from ..toolchain import Toolchain
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
 from .events import (
     CampaignEvent,
@@ -116,10 +117,13 @@ from .plan import CampaignPlan, PlanError
 #: one tuple shape so replay, events and folding share every code path.
 Cell = Tuple[CLitmus, str, str, str]
 
-#: always empty: workers keep no source cache, since the parent session's
-#: cache hoists every source.  Kept because the benchmark harness
-#: (perfbench/) sums worker cache counters over it.
-_WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
+#: the toolchain stage that hoists source simulations
+SOURCE_STAGE = "simulate-source"
+
+#: always empty: workers keep nothing between tasks, since the parent
+#: session's toolchain hoists every source.  Kept because the benchmark
+#: harness (perfbench/) sums worker cache counters over it.
+_WORKER_SOURCE_CACHES: Dict[Tuple, KeyedCache] = {}
 
 #: per-process staged toolchain (the benchmark harness, perfbench/,
 #: reads its cache counters).  Its artifact entries live for one pool task
@@ -131,53 +135,62 @@ _WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
 _WORKER_TOOLCHAIN = Toolchain()
 
 
-def _pool_source(
-    source,
+def _source(
+    toolchain: Toolchain,
     litmus: CLitmus,
     source_model: str,
     augment: bool,
     budget_candidates: int,
-    landed: List,
+    seed=None,
 ) -> SimulationResult:
-    """The source simulation a pool task evaluates its cell against.
-
-    ``source`` is what the parent shipped (see :func:`_run_pending`): the
-    cached simulation, the cached error of a failed one — re-raised, so
-    the cell gets the timeout/error record every backend gives it — or
-    ``None`` for a test's first cell, which simulates here and appends
-    the outcome (result or error) to ``landed`` for the parent to cache.
-    """
-    if isinstance(source, ReproError):
-        raise source
-    if source is not None:
-        return source
-    try:
-        result = simulate_c(
-            prepare(litmus, augment=augment),
-            source_model,
-            budget=Budget(max_candidates=budget_candidates),
-        )
-    except ReproError as exc:
-        landed.append(exc)
-        raise
-    landed.append(result)
-    return result
+    """``litmus``'s source simulation from ``toolchain``'s
+    ``simulate-source`` stage: replayed if cached, else ``seed`` (a
+    simulation run elsewhere, or its :class:`ReproError`) landed there —
+    or, with no seed, simulated."""
+    return toolchain.simulate_source(
+        toolchain.prepare(litmus, augment=augment),
+        source_model,
+        budget=Budget(max_candidates=budget_candidates),
+        seed=seed,
+    ).result
 
 
 def _in_worker(
-    evaluate: Callable[[List], Dict[str, object]]
+    evaluate: Callable[[], Dict[str, object]], litmus: CLitmus, tail: Tuple
 ) -> Tuple[Dict[str, object], object]:
-    """Run one pool task as ``evaluate(landed)`` over the worker's
-    toolchain, clearing its artifacts on return, and pair the record
-    with the source simulation the task ran, if any
-    (:func:`_pool_source`).  The JSON-able record, not a result object,
-    is the cross-process (and on-disk) currency."""
-    landed: List = []
+    """Run one pool task's ``evaluate()`` over the worker's toolchain,
+    clearing its artifacts on return.
+
+    ``tail`` ends in the source the parent shipped (see
+    :func:`_run_pending`): the test's cached simulation or its cached
+    error, seeded into the worker's ``simulate-source`` stage so the
+    cell replays it — or ``None`` for a test's first cell, which
+    simulates its source and hands back what landed (result or error)
+    beside the record for the parent to seed.  The JSON-able record, not
+    a result object, is the cross-process (and on-disk) currency."""
+    source_model, augment, budget_candidates, source = tail
+    landed = None
     try:
-        record = evaluate(landed)
+        if source is not None:
+            try:
+                _source(_WORKER_TOOLCHAIN, litmus, source_model, augment,
+                        budget_candidates, source)
+            except ReproError:
+                pass  # cached: the cell's own run replays it
+        record = evaluate()
+        if source is None:
+            landed = _WORKER_TOOLCHAIN.cache.peek(
+                SOURCE_STAGE,
+                _WORKER_TOOLCHAIN.source_key(
+                    litmus, augment=augment, model=source_model,
+                    budget=Budget(max_candidates=budget_candidates),
+                ),
+            )
     finally:
         _WORKER_TOOLCHAIN.cache.clear()
-    return record, (landed[0] if landed else None)
+    if landed is not None and not isinstance(landed, ReproError):
+        landed = landed.result
+    return record, landed
 
 
 def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
@@ -188,9 +201,10 @@ def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
     session overlays do not cross the process boundary (the session
     refuses to try).
     """
-    (litmus, arch, opt, compiler, source_model, augment, budget_candidates,
-     source) = task
-    return _in_worker(lambda landed: _verdict_record(
+    litmus, arch, opt, compiler, source_model, augment, budget_candidates = (
+        task[:7]
+    )
+    return _in_worker(lambda: _verdict_record(
         litmus, arch, opt, compiler, source_model, augment,
         budget_candidates,
         lambda: run_test_tv(
@@ -199,13 +213,9 @@ def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
             source_model=source_model,
             augment=augment,
             budget=Budget(max_candidates=budget_candidates),
-            source_result=_pool_source(
-                source, litmus, source_model, augment, budget_candidates,
-                landed,
-            ),
             toolchain=_WORKER_TOOLCHAIN,
         ),
-    ))
+    ), litmus, task[4:])
 
 
 def _diff_verdict_record(
@@ -256,8 +266,8 @@ def _pool_diff_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
     re-parsed against the global registries).  The source simulation is
     the UB oracle, shipped and returned as in :func:`_pool_cell`."""
     (litmus, arch, label, spec_a, spec_b, source_model, augment,
-     budget_candidates, source) = task
-    return _in_worker(lambda landed: _diff_verdict_record(
+     budget_candidates) = task[:8]
+    return _in_worker(lambda: _diff_verdict_record(
         litmus, arch, label, spec_a, spec_b, source_model, augment,
         budget_candidates,
         lambda: run_differential(
@@ -267,13 +277,9 @@ def _pool_diff_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
             source_model=source_model,
             augment=augment,
             budget=Budget(max_candidates=budget_candidates),
-            source_result=_pool_source(
-                source, litmus, source_model, augment, budget_candidates,
-                landed,
-            ),
             toolchain=_WORKER_TOOLCHAIN,
         ),
-    ))
+    ), litmus, task[5:])
 
 
 def _run_pending(
@@ -283,15 +289,16 @@ def _run_pending(
     cell loop every campaign mode shares, on one of two backends.
 
     Serial (``processes=0``) evaluates cells in work-list order through
-    the session's caches; a failure propagates at once.
+    the session toolchain; a failure propagates at once.
 
     The process pool streams records in *completion* order (events carry
     their deterministic index, so folding is order-independent) and
-    hoists each source simulation into the session's source cache like
-    the serial backend.  The first pending cell of each test (work-list
-    order) ships with no source and simulates it in its worker, which
-    hands the simulation back beside the record; the parent caches it
-    under ``ctx.source_key_of`` and only then ships the test's held
+    hoists each source simulation into the session toolchain's
+    ``simulate-source`` stage like the serial backend.  The first pending
+    cell of each test (work-list order) ships with no source and
+    simulates it in its worker, which hands the simulation back beside
+    the record; the parent seeds the stage with it
+    (:meth:`_CellContext.seed`) and only then ships the test's held
     cells, each with the cached simulation (or its cached timeout/error)
     attached.  So which cell simulates a source depends on the work list
     alone, never on scheduling, and a failing source is simulated once.
@@ -309,7 +316,7 @@ def _run_pending(
             yield index, item, ctx.evaluate(*item)
         return
     #: source key -> cells waiting for that source's first cell to land
-    held: Dict[Tuple, List[Tuple[int, Cell]]] = {}
+    held: Dict[str, List[Tuple[int, Cell]]] = {}
     #: future -> (index, item, source key if it is a first cell else None)
     futures: Dict = {}
     to_ship: deque = deque(pending)
@@ -329,11 +336,11 @@ def _run_pending(
                 if key in held:
                     held[key].append((index, item))
                     continue
-                first = key not in ctx.source_cache
+                first = ctx.toolchain.cache.peek(SOURCE_STAGE, key) is None
                 source: object = None
                 if not first:
                     try:  # a cache hit: replays the result or its error
-                        source = ctx.simulate_source(item[0])
+                        source = ctx.source(item[0])
                     except ReproError as exc:
                         source = exc
                 try:
@@ -362,7 +369,7 @@ def _run_pending(
                         first_error = first_error or exc
                     if key is not None:
                         if landed is not None:
-                            ctx.seed_source(key, landed)
+                            ctx.seed(item[0], key, landed)
                         to_ship.extend(held.pop(key))
                         outstanding.update(ship())
                     if record is not None:
@@ -378,11 +385,9 @@ def _run_pending(
 class _CellContext:
     """The per-run state every campaign mode's cells share.
 
-    Owns the session-resolved cache identity (model/arch/epoch
-    signatures, stage token: verdicts key by what names *resolve to*,
-    never names alone), the hoisted source simulation (computed here, or
-    seeded from a pool worker), the two faces of one cell — the
-    in-process :meth:`evaluate` (through the session's result cache and
+    Owns source hoisting over the session toolchain's ``simulate-source``
+    stage (run there, or seeded from a pool worker), the two faces of one
+    cell — the in-process :meth:`evaluate` (through the session
     toolchain) and the :meth:`pool_task` the process backend ships — and
     the event side: store replay (:meth:`split`), ``CellFinished``
     construction, persist-then-yield (:meth:`cells`) and the run totals
@@ -401,90 +406,38 @@ class _CellContext:
         self.augment = plan.augment
         self.budget_candidates = plan.budget_candidates
         self.store = session.store
-        self.source_cache = session.source_cache
-        self.result_cache = session.result_cache
         self.toolchain = session.toolchain()
-        self.stages_token = session.stages_token()
-        self.source_sig = self.model_sig(plan.source_model)
-        self._arch_sigs: Dict[str, str] = {}
-        self._epoch_sigs: Dict[str, str] = {}
         #: source-simulation keys actually produced during this run
         self.simulated_sources: set = set()
         self.start = time.perf_counter()
-        self.result_hits_before = self.result_cache.hits
         self.ok_cells = 0
         self.store_hits = 0
 
-    # -- cache identity ------------------------------------------------ #
-    def model_sig(self, name: str) -> str:
-        # an unresolvable name contributes no identity: it surfaces as
-        # per-cell error records, never an abort
-        try:
-            return self.session.model_signature(name)
-        except ModelError:
-            return ""
-
-    def arch_sig(self, arch: str) -> str:
-        if arch not in self._arch_sigs:
-            self._arch_sigs[arch] = (
-                self.model_sig(ARCH_MODEL[arch]) if arch in ARCH_MODEL else ""
-            )
-        return self._arch_sigs[arch]
-
-    def epoch_sig(self, compiler: str) -> str:
-        # the bug set behind a profile *name* is part of a verdict's
-        # identity (names carry no version), so a session re-run after
-        # epochs.register() re-simulates instead of replaying
-        if compiler not in self._epoch_sigs:
-            try:
-                flags = self.session.epochs.get(
-                    f"{compiler}-{DEFAULT_VERSION[compiler]}"
-                )
-                self._epoch_sigs[compiler] = "|".join(sorted(flags))
-            except (KeyError, ReproError):
-                self._epoch_sigs[compiler] = ""
-        return self._epoch_sigs[compiler]
-
     # -- source hoisting ----------------------------------------------- #
-    def source_key_of(self, litmus: CLitmus) -> Tuple:
-        return (litmus.digest(), self.source_model, self.source_sig,
-                self.augment, self.budget_candidates)
+    def source_key_of(self, litmus: CLitmus) -> str:
+        return self.toolchain.source_key(
+            litmus, augment=self.augment, model=self.source_model,
+            budget=Budget(max_candidates=self.budget_candidates),
+        )
 
-    def simulate_source(self, litmus: CLitmus) -> SimulationResult:
-        key = self.source_key_of(litmus)
+    def source(self, litmus: CLitmus, seed=None) -> SimulationResult:
+        return _source(self.toolchain, litmus, self.source_model,
+                       self.augment, self.budget_candidates, seed)
 
-        def produce() -> SimulationResult:
-            self.simulated_sources.add(key)
-            return simulate_c(
-                prepare(litmus, augment=self.augment),
-                self.session.model(self.source_model),
-                budget=Budget(max_candidates=self.budget_candidates),
-            )
-
-        return self.source_cache.get(key, produce)
-
-    def seed_source(self, key: Tuple, landed) -> None:
-        """Cache a source simulation a pool worker ran — its result or
-        its :class:`ReproError` — as if :meth:`simulate_source` had."""
-        def produce() -> SimulationResult:
-            self.simulated_sources.add(key)
-            if isinstance(landed, ReproError):
-                raise landed
-            return landed
-
+    def seed(self, litmus: CLitmus, key: str, landed) -> None:
+        """Seed the session toolchain with a source simulation a pool
+        worker ran — its result or its :class:`ReproError` — as if this
+        run had simulated it here."""
+        self.simulated_sources.add(key)
         try:
-            self.source_cache.get(key, produce)
+            self.source(litmus, seed=landed)
         except ReproError:
             pass  # cached for replay; the first cell's record has it
 
     # -- one cell, two faces ------------------------------------------- #
-    def run_tv(self, litmus: CLitmus, profile, hoist: bool = False):
-        """test_tv straight through the session toolchain, bypassing the
-        result cache.  Campaign cells hoist the source simulation
-        (``hoist=True``, via :meth:`run_cell`); the hunt's reduction
-        oracle and reduced records do not, so neither counts toward the
-        run's source simulations or result-cache hits — both feed report
-        parity and must only ever count campaign cells."""
+    def run_tv(self, litmus: CLitmus, profile):
+        """test_tv through the session toolchain (campaign cells, and the
+        hunt's reduction oracle and reduced records)."""
         return run_test_tv(
             litmus,
             profile,
@@ -492,60 +445,52 @@ class _CellContext:
             target_model=self.session.arch_model(profile.arch),
             augment=self.augment,
             budget=Budget(max_candidates=self.budget_candidates),
-            source_result=self.simulate_source(litmus) if hoist else None,
             toolchain=self.toolchain,
-        )
-
-    def run_cell(self, litmus: CLitmus, arch: str, opt: str, compiler: str):
-        # the session's epoch overlay decides which compiler bugs this
-        # cell simulates (private epochs are process/store-guarded by
-        # _check_session_constraints)
-        profile = make_profile(
-            compiler, opt, arch, epochs=self.session.epochs
-        )
-        return self.result_cache.get(
-            (litmus.digest(), profile.name, self.source_model,
-             self.source_sig, self.arch_sig(arch), self.epoch_sig(compiler),
-             self.augment, self.budget_candidates, self.stages_token),
-            lambda: self.run_tv(litmus, profile, hoist=True),
         )
 
     def run_diff_cell(self, litmus: CLitmus, arch: str, label: str):
         _, prof_a, _, prof_b = self.pairs[label]
-        return self.result_cache.get(
-            (litmus.digest(), "diff", label, profile_signature(prof_a),
-             profile_signature(prof_b), self.source_model, self.source_sig,
-             self.arch_sig(arch), self.augment, self.budget_candidates,
-             self.stages_token),
-            lambda: run_differential(
-                litmus,
-                prof_a,
-                prof_b,
-                source_model=self.session.model(self.source_model),
-                target_model=self.session.arch_model(arch),
-                augment=self.augment,
-                budget=Budget(max_candidates=self.budget_candidates),
-                source_result=self.simulate_source(litmus),
-                toolchain=self.toolchain,
-            ),
+        return run_differential(
+            litmus,
+            prof_a,
+            prof_b,
+            source_model=self.session.model(self.source_model),
+            target_model=self.session.arch_model(arch),
+            augment=self.augment,
+            budget=Budget(max_candidates=self.budget_candidates),
+            toolchain=self.toolchain,
         )
 
     def evaluate(
         self, litmus: CLitmus, arch: str, opt: str, compiler: str
     ) -> Dict[str, object]:
-        """The serial face of one cell: its verdict record."""
+        """The serial face of one cell: its verdict record.  A cell that
+        finds its source absent from the ``simulate-source`` stage and
+        leaves it there simulated it, and counts toward the run's source
+        simulations."""
+        key = self.source_key_of(litmus)
+        fresh = self.toolchain.cache.peek(SOURCE_STAGE, key) is None
         if self.differential:
             spec_a, _, spec_b, _ = self.pairs[compiler]
-            return _diff_verdict_record(
+            record = _diff_verdict_record(
                 litmus, arch, compiler, spec_a, spec_b, self.source_model,
                 self.augment, self.budget_candidates,
                 lambda: self.run_diff_cell(litmus, arch, compiler),
             )
-        return _verdict_record(
-            litmus, arch, opt, compiler, self.source_model, self.augment,
-            self.budget_candidates,
-            lambda: self.run_cell(litmus, arch, opt, compiler),
-        )
+        else:
+            # the session's epoch overlay decides which compiler bugs
+            # this cell simulates (private epochs are process/store-
+            # guarded by _check_session_constraints)
+            record = _verdict_record(
+                litmus, arch, opt, compiler, self.source_model,
+                self.augment, self.budget_candidates,
+                lambda: self.run_tv(litmus, make_profile(
+                    compiler, opt, arch, epochs=self.session.epochs
+                )),
+            )
+        if fresh and self.toolchain.cache.peek(SOURCE_STAGE, key) is not None:
+            self.simulated_sources.add(key)
+        return record
 
     def pool_task(
         self, litmus: CLitmus, arch: str, opt: str, compiler: str, source
@@ -654,7 +599,6 @@ class _CellContext:
             compiled_tests=self.ok_cells,
             elapsed_seconds=time.perf_counter() - self.start,
             source_sim_keys=frozenset(self.simulated_sources),
-            cached_cells=self.result_cache.hits - self.result_hits_before,
             store_hits=self.store_hits,
         )
 
@@ -698,11 +642,6 @@ def _check_session_constraints(plan: CampaignPlan, session) -> None:
         raise PlanError(f"source_model: {exc}")
     if plan.resume and session.store is None:
         raise PlanError("resume=True needs a store to resume from")
-    if plan.processes > 0 and session.caches_explicit:
-        raise PlanError(
-            "in-memory source/result caches are not shared with worker "
-            "processes; persist across process-pool campaigns with a store"
-        )
     local = sorted(
         session.local_model_names(plan)
         | session.local_epoch_names(plan)
@@ -1020,7 +959,6 @@ def fold_events(events: Iterable[CampaignEvent]) -> CampaignReport:
             )
     report.source_sim_keys = finished.source_sim_keys
     report.source_simulations = len(finished.source_sim_keys)
-    report.cached_cells = finished.cached_cells
     report.store_hits = finished.store_hits
     report.elapsed_seconds = finished.elapsed_seconds
     return report

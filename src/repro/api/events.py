@@ -319,10 +319,9 @@ class CampaignFinished(CampaignEvent):
     source_model: str = "rc11"
     compiled_tests: int = 0
     elapsed_seconds: float = 0.0
-    #: distinct source-simulation cache keys produced by this run —
+    #: distinct ``simulate-source`` artifact keys produced by this run —
     #: carried (not just counted) so shard merges can de-duplicate
-    source_sim_keys: FrozenSet[Tuple] = frozenset()
-    cached_cells: int = 0
+    source_sim_keys: FrozenSet[str] = frozenset()
     store_hits: int = 0
 
     @property
@@ -336,6 +335,5 @@ class CampaignFinished(CampaignEvent):
             "compiled_tests": self.compiled_tests,
             "elapsed_seconds": self.elapsed_seconds,
             "source_simulations": self.source_simulations,
-            "cached_cells": self.cached_cells,
             "store_hits": self.store_hits,
         }

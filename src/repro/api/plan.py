@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple, Union
 
+from ..compiler.profiles import GCC_OPT_LEVELS, LLVM_OPT_LEVELS
 from ..core.errors import ReproError
 from ..lang.ast import CLitmus
 from ..tools.diy import DiyConfig
@@ -157,17 +158,25 @@ class CampaignPlan:
                 )
         elif self.mutations is not None:
             raise PlanError('mutations= is only meaningful with mode="hunt"')
-        # NOTE: arch/compiler/opt *membership* is deliberately not
-        # validated here — at campaign scale an unbuildable profile is an
-        # error *cell*, never a campaign abort (and a session may carry
-        # profiles the global tables don't know).  Only structural
-        # mistakes that would silently run the wrong campaign fail fast.
+        # NOTE: arch/compiler *membership* is deliberately not validated
+        # here — at campaign scale an unbuildable profile is an error
+        # *cell*, never a campaign abort (and a session may carry
+        # profiles the global tables don't know).  Only mistakes that
+        # would silently run the wrong campaign fail fast — an opt level
+        # no compiler has would be dropped from the work list unseen.
         if not self.arches:
             raise PlanError("a plan needs at least one architecture")
         if not self.compilers:
             raise PlanError("a plan needs at least one compiler")
         if not self.opts:
             raise PlanError("a plan needs at least one optimisation level")
+        known = sorted(set(LLVM_OPT_LEVELS) | set(GCC_OPT_LEVELS))
+        for opt in self.opts:
+            if opt not in known:
+                raise PlanError(
+                    f"unknown optimisation level {opt!r}; expected one of "
+                    f"{', '.join(known)}"
+                )
         if self.shard is not None:
             shard_k, shard_n = self.shard
             if shard_n < 1 or not (0 <= shard_k < shard_n):

@@ -1,11 +1,12 @@
 """The session: the embeddable, state-owning entry point to the system.
 
 A :class:`Session` owns what used to be process-global mutable state —
-model/shape/ISA/epoch/baseline registries (as per-session overlays over
-the shipped globals), the source-simulation and result caches, a default
-budget, and an optional persistent :class:`CampaignStore`.  Two sessions
-never trample each other: a service can hold one per tenant, each with
-private models and profiles, over one shared process.
+model/shape/ISA/epoch/baseline/stage registries (as per-session overlays
+over the shipped globals), a staged toolchain with its content-addressed
+artifact cache, a default budget, and an optional persistent
+:class:`CampaignStore`.  Two sessions never trample each other: a
+service can hold one per tenant, each with private models and profiles,
+over one shared process.
 
     >>> from repro.api import CampaignPlan, Session
     >>> session = Session()
@@ -17,12 +18,12 @@ private models and profiles, over one shared process.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Optional, Set, Tuple, Union
+from typing import Callable, Iterable, Optional, Set, Union
 
 from ..asm.isa.base import ISAS, Isa, ensure_registered
 from ..baselines.registry import BASELINES
 from ..cat.interp import Model
-from ..cat.registry import ARCH_MODEL, MODELS, model_signature, resolve_model
+from ..cat.registry import ARCH_MODEL, MODELS, resolve_model
 from ..compiler.profiles import (
     DEFAULT_VERSION,
     EPOCHS,
@@ -30,10 +31,11 @@ from ..compiler.profiles import (
     make_profile,
     parse_profile,
 )
+from ..core.cache import KeyedCache
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
 from ..lang.ast import CLitmus
-from ..pipeline.campaign import CampaignReport, ResultCache, SourceSimCache
+from ..pipeline.campaign import CampaignReport
 from ..pipeline.store import CampaignStore
 from ..pipeline.telechat import (
     DifferentialResult,
@@ -51,7 +53,15 @@ from .plan import CampaignPlan, FarmPlan, PlanError
 
 
 class Session:
-    """Session-scoped registries, caches, budgets and storage.
+    """Session-scoped registries, cache, budgets and storage.
+
+    The session has one in-memory cache: its toolchain's per-stage
+    artifact cache, shared by every :meth:`test`, :meth:`differential`,
+    :meth:`explain` and campaign run in the session.  Campaigns hoist
+    each test's source simulation into its ``simulate-source`` stage, so
+    a second campaign in the same session replays every source (and
+    every compile, lift and target simulation) it already has.  Verdicts
+    outlive the session only through the ``store``.
 
     Args:
         store: a :class:`CampaignStore` (or a path to one) that campaigns
@@ -59,8 +69,6 @@ class Session:
         budget_candidates: default enumeration budget for
             :meth:`test` calls that pass no explicit budget
             (``None`` = unbudgeted, the engine default).
-        source_cache / result_cache: share caches *across* sessions (a
-            re-run service); by default each session gets fresh ones.
         artifact_cache_entries: per-stage bound on the toolchain's
             artifact cache (compiled objects, listings and outcome sets
             are heavyweight — unbounded, the cache grows linearly with
@@ -74,8 +82,6 @@ class Session:
         *,
         store: Optional[Union[str, "os.PathLike[str]", CampaignStore]] = None,
         budget_candidates: Optional[int] = None,
-        source_cache: Optional[SourceSimCache] = None,
-        result_cache: Optional[ResultCache] = None,
         artifact_cache_entries: Optional[int] = 4096,
     ) -> None:
         #: per-session registry overlays — register here without
@@ -97,18 +103,6 @@ class Session:
             models=self.models,
             cache=ArtifactCache(max_entries=artifact_cache_entries),
         )
-
-        self.caches_explicit = (
-            source_cache is not None or result_cache is not None
-        )
-        # the benchmark harness (perfbench/) reads source_cache.hits and
-        # .misses, so the attribute keeps this name and meaning
-        self.source_cache = (
-            source_cache if source_cache is not None else SourceSimCache()
-        )
-        self.result_cache = (
-            result_cache if result_cache is not None else ResultCache()
-        )
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store: Optional[CampaignStore] = store
@@ -116,6 +110,14 @@ class Session:
         #: warning-severity diagnostics collected from lint-validated
         #: registrations (errors raise instead of landing here)
         self.lint_warnings: list = []
+
+    @property
+    def source_cache(self) -> KeyedCache:
+        """The toolchain's ``simulate-source`` stage cache, read-only:
+        ``misses`` counts the source simulations this session ran.  (The
+        benchmark harness, perfbench/, reads ``.hits`` and ``.misses``
+        here.)"""
+        return self._toolchain.cache.stage("simulate-source")
 
     # ------------------------------------------------------------------ #
     # registration
@@ -200,12 +202,6 @@ class Session:
         if arch not in ARCH_MODEL:
             raise ModelError(f"no architecture model registered for {arch!r}")
         return self.model(ARCH_MODEL[arch])
-
-    def model_signature(self, name: Union[str, Model]) -> str:
-        """A content digest of what ``name`` resolves to here — cache-key
-        identity, so a session that shadows a model name can never replay
-        verdicts computed under the global model of the same name."""
-        return model_signature(name, self.models)
 
     def lint(self, *targets) -> list:
         """Run the static analyzers, returning one
@@ -318,20 +314,6 @@ class Session:
             f"stage:{name}" for name in self.stages.names()
             if self.stages.is_local(name)
         }
-
-    def stages_token(self) -> Tuple:
-        """An in-memory identity of the session's *effective* stage set.
-
-        Part of the result-cache key, so re-registering a stage
-        mid-session re-simulates instead of replaying results the old
-        stage computed.  The token holds the stage *objects* (compared
-        by identity), not their ``id()``s — a bare id could be recycled
-        by a later allocation once the old stage is garbage-collected,
-        silently reviving stale cache entries.  The result cache never
-        leaves this process, so object identity is sound."""
-        return tuple(
-            (name, self.stages.get(name)) for name in self.stages.names()
-        )
 
     # ------------------------------------------------------------------ #
     # running things

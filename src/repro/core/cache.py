@@ -1,9 +1,8 @@
 """A thread-safe exactly-once keyed cache with hit/miss counters.
 
-Grown out of the campaign runner's source-simulation cache (PR 1) and
-now shared by every caching layer in the tree — the campaign's
-source/result caches and the toolchain's per-stage artifact caches all
-need the same contract:
+Grown out of the campaign runner's source-simulation cache (PR 1); it
+now backs each stage of the toolchain's artifact cache, the one cache
+in the tree, with this contract:
 
 * ``get(key, producer)`` runs ``producer`` at most once per key, even
   under a worker pool — concurrent callers for the same key block until
@@ -39,6 +38,13 @@ class KeyedCache:
     def __contains__(self, key) -> bool:
         with self._cond:
             return key in self._store
+
+    def peek(self, key):
+        """What ``key`` holds — its value, or the error it raised — or
+        ``None`` if absent; counts neither a hit nor a miss."""
+        with self._cond:
+            entry = self._store.get(key)
+        return None if entry is None else entry[1]
 
     def clear(self) -> int:
         """Drop every cached entry (counters keep running).

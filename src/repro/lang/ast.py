@@ -203,7 +203,7 @@ class CLitmus(LitmusBase):
         widths, const qualifiers) share a digest even when their *names*
         differ — and two tests that happen to share a name (``LB001``
         from two different :class:`~repro.tools.diy.DiyConfig`\\ s) do
-        not.  Campaign caches and the persistent campaign store key by
+        not.  The artifact cache and the persistent campaign store key by
         this, so verdicts are shareable across runs, processes and
         sessions without name-collision unsoundness.
         """

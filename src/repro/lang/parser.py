@@ -101,12 +101,13 @@ _RMW_FUNCS = {
 
 
 class _Tok:
-    __slots__ = ("kind", "text", "line")
+    __slots__ = ("kind", "text", "line", "column")
 
-    def __init__(self, kind: str, text: str, line: int) -> None:
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
         self.kind = kind
         self.text = text
         self.line = line
+        self.column = column
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"_Tok({self.kind},{self.text!r})"
@@ -115,23 +116,29 @@ class _Tok:
 def _tokenize(source: str) -> List[_Tok]:
     tokens: List[_Tok] = []
     line = 1
+    line_start = 0  # offset of the current line's first character
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
+        column = pos - line_start + 1
         if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line)
+            raise ParseError(
+                f"unexpected character {source[pos]!r}", line, column
+            )
         kind = m.lastgroup or ""
         text = m.group()
         if kind in ("ws", "comment"):
-            line += text.count("\n")
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
         elif kind == "landand":
-            tokens.append(_Tok("op", "/\\", line))
+            tokens.append(_Tok("op", "/\\", line, column))
         elif kind == "loror":
-            tokens.append(_Tok("op", "\\/", line))
+            tokens.append(_Tok("op", "\\/", line, column))
         elif kind == "op2":
-            tokens.append(_Tok("op", text, line))
+            tokens.append(_Tok("op", text, line, column))
         else:
-            tokens.append(_Tok(kind, text, line))
+            tokens.append(_Tok(kind, text, line, column))
         pos = m.end()
     return tokens
 
@@ -161,7 +168,10 @@ def _expand_defines(tokens: List[_Tok]) -> List[_Tok]:
             i = j
             continue
         if tok.kind == "ident" and tok.text in macros:
-            out.extend(_Tok(t.kind, t.text, tok.line) for t in macros[tok.text])
+            out.extend(
+                _Tok(t.kind, t.text, tok.line, tok.column)
+                for t in macros[tok.text]
+            )
         else:
             out.append(tok)
         i += 1
@@ -180,7 +190,8 @@ class _CParser:
 
     def _last_line(self) -> int:
         # at EOF no token is left to point at: blame the last one's line
-        return self.tokens[-1].line if self.tokens else 0
+        # (or, in an input with no tokens at all, the first line)
+        return self.tokens[-1].line if self.tokens else 1
 
     def _eof(self) -> ParseError:
         return ParseError("unexpected end of litmus test", self._last_line())
@@ -205,6 +216,23 @@ class _CParser:
                 tok.line if tok else self._last_line(),
             )
         return self.next()
+
+    def expect_order(self) -> MemoryOrder:
+        tok = self.expect("ident")
+        try:
+            return MemoryOrder.parse(tok.text)
+        except ValueError:
+            raise ParseError(
+                f"unknown memory order {tok.text!r}", tok.line, tok.column
+            ) from None
+
+    def int_value(self, tok: _Tok) -> int:
+        try:
+            return int(tok.text, 0)
+        except ValueError:  # C has no decimal literal with a leading 0
+            raise ParseError(
+                f"invalid integer literal {tok.text!r}", tok.line, tok.column
+            ) from None
 
     def accept(self, kind: str, text: Optional[str] = None) -> bool:
         if self.at(kind, text):
@@ -280,8 +308,7 @@ class _CParser:
 
     def parse_int_literal(self) -> int:
         negative = self.accept("op", "-")
-        tok = self.expect("number")
-        value = int(tok.text, 0)
+        value = self.int_value(self.expect("number"))
         return -value if negative else value
 
     # -------------------------------------------------------------- #
@@ -381,7 +408,8 @@ class _CParser:
         return [self.parse_stmt()]
 
     def parse_call_stmt(self) -> CStmt:
-        name = self.expect("ident").text
+        name_tok = self.expect("ident")
+        name = name_tok.text
         base, explicit = _split_explicit(name)
         if base == "atomic_store":
             self.expect("op", "(")
@@ -393,7 +421,7 @@ class _CParser:
             return AtomicStore(loc, expr, order)
         if base == "atomic_thread_fence":
             self.expect("op", "(")
-            order = MemoryOrder.parse(self.expect("ident").text)
+            order = self.expect_order()
             self.expect("op", ")")
             return Fence(order)
         if base == "atomic_init":
@@ -408,7 +436,9 @@ class _CParser:
             self.pos -= 1
             expr = self.parse_expr()
             return ExprStmt(expr)
-        raise ParseError(f"unknown call {name!r}")
+        raise ParseError(
+            f"unknown call {name!r}", name_tok.line, name_tok.column
+        )
 
     def _parse_loc_arg(self) -> str:
         self.accept("op", "&")
@@ -417,7 +447,7 @@ class _CParser:
     def _parse_order_arg(self, explicit: bool, default: MemoryOrder) -> MemoryOrder:
         if explicit:
             self.expect("op", ",")
-            return MemoryOrder.parse(self.expect("ident").text)
+            return self.expect_order()
         return default
 
     # expressions ---------------------------------------------------- #
@@ -470,7 +500,7 @@ class _CParser:
             raise self._eof()
         if tok.kind == "number":
             self.next()
-            return IntLit(int(tok.text, 0))
+            return IntLit(self.int_value(tok))
         if tok.kind == "op" and tok.text == "(":
             self.next()
             # tolerate casts like `(int)` inside expressions
@@ -506,9 +536,13 @@ class _CParser:
     # condition ------------------------------------------------------ #
     def parse_condition(self) -> Condition:
         negated = self.accept("op", "~")
-        kw = self.expect("ident").text
+        kw_tok = self.expect("ident")
+        kw = kw_tok.text
         if kw not in ("exists", "forall"):
-            raise ParseError(f"expected exists/forall, got {kw!r}")
+            raise ParseError(
+                f"expected exists/forall, got {kw!r}", kw_tok.line,
+                kw_tok.column,
+            )
         # parentheses are conventional but optional — the printer emits
         # single-atom conditions bare (``exists P1:r0=0``, the shape
         # condition-weakening reductions produce), and parse_prop_atom
@@ -516,7 +550,9 @@ class _CParser:
         prop = self.parse_prop()
         if negated:
             if kw != "exists":
-                raise ParseError("~forall is not supported")
+                raise ParseError(
+                    "~forall is not supported", kw_tok.line, kw_tok.column
+                )
             return Condition("forall", Not(prop))
         return Condition(kw, prop)
 

@@ -1,15 +1,13 @@
-"""Campaign reports, caches and verdict records (paper Table IV).
+"""Campaign reports and verdict records (paper Table IV).
 
-The campaign *runner* lives in :mod:`repro.api.engine`; this module owns
-the batch-side vocabulary every backend and mode shares:
+The campaign *runner* lives in :mod:`repro.api.engine`, and what it
+caches lives in the session toolchain's artifact cache
+(:mod:`repro.toolchain.cache`); this module owns the batch-side
+vocabulary every backend and mode shares:
 
 * :class:`CampaignReport` / :class:`CampaignCell` — the tally in the
   paper's Table IV layout, plus :func:`merge_reports` for folding shard
   reports back into the single-run table;
-* :class:`SourceSimCache` / :class:`ResultCache` — the exactly-once
-  in-memory caches (keyed by :meth:`CLitmus.digest` content identity,
-  never test names, so two different tests named ``LB001`` can't share
-  a verdict);
 * the verdict-record shapers (``_verdict_record``/``_shape_record``) —
   the single status contract the serial and process backends and the
   persistent store all speak.
@@ -36,7 +34,6 @@ from ..compiler.profiles import (
     LLVM_OPT_LEVELS,
     make_profile,
 )
-from ..core.cache import KeyedCache
 from ..core.errors import ReproError, SimulationTimeout
 from ..lang.ast import CLitmus
 from .store import STORE_SCHEMA
@@ -100,34 +97,6 @@ class CampaignCell:
         self.errors += other.errors
 
 
-class SourceSimCache(KeyedCache):
-    """Source-side simulations keyed by
-    ``(test digest, source_model, augment, budget_candidates)``.
-
-    ``misses`` counts actual source simulations: a campaign simulates
-    each test's source side exactly once per source model, no matter how
-    many (arch × opt × compiler) cells consume it.
-    """
-
-    @property
-    def simulations(self) -> int:
-        return self.misses
-
-
-class ResultCache(KeyedCache):
-    """Full test_tv results keyed by
-    ``(test digest, profile, source_model, augment, budget_candidates)``.
-
-    Within one campaign every key is unique; share one instance across
-    sessions (re-runs, Claim-4 style model sweeps over the
-    same suite) to skip already-tested cells entirely.  The campaign
-    parameters that change a cell's result are part of the key, so a
-    re-run with a different budget or augmentation re-simulates instead
-    of replaying stale verdicts (or stale timeouts) — and the *content*
-    digest means two different tests that share a name can never collide.
-    """
-
-
 @dataclass
 class CampaignReport:
     """The full campaign result: cells plus run metadata."""
@@ -140,14 +109,13 @@ class CampaignReport:
     #: per-test positive records for drill-down: (test, arch, opt, compiler)
     positives: List[Tuple[str, str, str, str]] = field(default_factory=list)
     #: distinct source-side simulations actually run (== distinct tests
-    #: when the caches start cold; never double-counts a test shared by
+    #: when the cache starts cold; never double-counts a test shared by
     #: several worker processes or shards)
     source_simulations: int = 0
-    #: the source-simulation cache keys behind ``source_simulations`` —
-    #: kept so merging shard reports can de-duplicate across shards
-    source_sim_keys: FrozenSet[Tuple] = frozenset()
-    #: cells answered from a shared in-memory ResultCache without re-running
-    cached_cells: int = 0
+    #: the ``simulate-source`` artifact keys behind
+    #: ``source_simulations`` — kept so merging shard reports can
+    #: de-duplicate across shards
+    source_sim_keys: FrozenSet[str] = frozenset()
     #: cells replayed from the persistent store without re-running
     store_hits: int = 0
     #: worker processes used (0 = in-process execution)
@@ -189,11 +157,7 @@ class CampaignReport:
             "compiled_tests": self.compiled_tests,
             "elapsed_seconds": self.elapsed_seconds if include_timing else 0.0,
             "source_simulations": self.source_simulations,
-            "source_sim_keys": sorted(
-                "|".join(str(part) for part in key)
-                for key in self.source_sim_keys
-            ),
-            "cached_cells": self.cached_cells,
+            "source_sim_keys": sorted(self.source_sim_keys),
             "store_hits": self.store_hits,
             "processes": self.processes,
             "shard": list(self.shard) if self.shard else None,
@@ -285,7 +249,6 @@ def merge_reports(reports: Sequence[CampaignReport]) -> CampaignReport:
     merged.tests_input = max(r.tests_input for r in reports)
     merged.compiled_tests = sum(r.compiled_tests for r in reports)
     merged.elapsed_seconds = sum(r.elapsed_seconds for r in reports)
-    merged.cached_cells = sum(r.cached_cells for r in reports)
     merged.store_hits = sum(r.store_hits for r in reports)
     merged.source_sim_keys = frozenset().union(
         *(r.source_sim_keys for r in reports)

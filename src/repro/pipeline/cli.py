@@ -59,7 +59,7 @@ from ..api import (
 )
 from ..cat.registry import MODELS
 from ..compiler.profiles import ARCHES, EPOCHS, default_profiles
-from ..core.errors import LintError, ParseError
+from ..core.errors import LintError, ParseError, ReproError
 from ..lang.parser import parse_c_litmus
 from ..tools.diy import SHAPES, DiyConfig, build_test, small_config
 from .store import CampaignStore
@@ -92,9 +92,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
     session = Session()
     from ..herd.enumerate import Budget
 
+    profile, _ = _resolve_run(session, args)
     result = session.test(
         litmus,
-        (args.compiler, args.opt, args.arch),
+        profile,
         source_model=args.cmem,
         budget=Budget(deadline_seconds=args.timeout),
     )
@@ -119,6 +120,30 @@ def _unresolved(message: str) -> SystemExit:
     """Report a target that names nothing (exit 2: bad input)."""
     print(message, file=sys.stderr)
     return SystemExit(2)
+
+
+def _resolve_run(session: Session, args: argparse.Namespace, diff=None):
+    """The profile (and ``--diff`` profile) and source model of a
+    single-test command, resolved before anything runs: a bad
+    ``--opt``/``--arch``, ``--diff`` or ``--cmem`` is bad input — one
+    line, exit 2 — never a traceback or a verdict's exit code."""
+    what = f"--cmem {args.cmem}"
+    try:
+        session.model(args.cmem)
+        what = f"profile {args.compiler} {args.opt} {args.arch}"
+        profile = session.profile((args.compiler, args.opt, args.arch))
+        other = None
+        if diff is not None:
+            what = f"--diff {diff}"
+            other = session.profile(diff)
+            if other.arch != profile.arch:
+                raise ReproError(
+                    f"targets {other.arch}, not {profile.arch}: "
+                    f"differential testing requires a common architecture"
+                )
+    except ReproError as exc:
+        raise _unresolved(f"{what}: {exc}")
+    return profile, other
 
 
 def _resolve_test_arg(session: Session, spec: str):
@@ -148,12 +173,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """Print each tool-chain stage's artifact for one test."""
     session = Session()
     litmus = _resolve_test_arg(session, args.test)
+    profile, other = _resolve_run(session, args, args.diff)
     from ..herd.enumerate import Budget
 
     trace = session.explain(
         litmus,
-        (args.compiler, args.opt, args.arch),
-        differential_with=args.diff,
+        profile,
+        differential_with=other,
         source_model=args.cmem,
         optimise=not args.no_optimise,
         budget=Budget(deadline_seconds=args.timeout),
@@ -472,12 +498,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
     session = Session()
     litmus = _resolve_test_arg(session, args.test)
-    profile = (args.compiler, args.opt, args.arch)
+    profile, _ = _resolve_run(session, args)
     result = session.test(litmus, profile, source_model=args.cmem)
     if result.verdict != "positive":
         print(
             f"{litmus.name}: verdict {result.verdict} under "
-            f"{session.profile(profile).name} — nothing to reduce "
+            f"{profile.name} — nothing to reduce "
             f"(the reducer keeps a positive verdict positive)",
             file=sys.stderr,
         )

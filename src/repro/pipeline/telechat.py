@@ -52,7 +52,7 @@ def run_test_tv(
 
     This is the engine entry point behind :meth:`repro.api.Session.test`
     — prefer the session, which resolves models and profiles against
-    per-session registries and owns the caches.
+    per-session registries and owns the artifact cache.
 
     Args:
         litmus: the C litmus test ``S`` (step 1 of Fig. 5).
@@ -67,10 +67,8 @@ def run_test_tv(
         unroll: loop unroll factor for source simulation.
         budget: enumeration budget for both simulations.
         source_result: a pre-computed source-side simulation of this test
-            under ``source_model`` (the campaign runner hoists S′
-            simulation out of its per-cell loop and passes it here, so
-            each test's source side is simulated once per source model,
-            not once per cell).
+            under ``source_model``, cached in the toolchain's
+            ``simulate-source`` stage in place of simulating it.
         toolchain: the staged :class:`~repro.toolchain.Toolchain` to run
             over — sessions pass theirs so per-stage artifacts (compiled
             litmus tests, outcome sets) are reused across calls, models

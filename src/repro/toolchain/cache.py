@@ -66,6 +66,14 @@ class ArtifactCache:
             cache.clear()
         return cache.get(key, producer)
 
+    def peek(self, stage: str, key: str):
+        """What ``stage`` holds under ``key`` (see
+        :meth:`KeyedCache.peek`) — a lookup that neither counts nor
+        creates the stage."""
+        with self._lock:
+            cache = self._stages.get(stage)
+        return None if cache is None else cache.peek(key)
+
     def clear(self) -> None:
         """Drop every stage's entries; the hit/miss counters keep
         running."""

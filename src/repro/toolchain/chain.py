@@ -47,7 +47,7 @@ prints every stage's artifact — the ``repro explain`` CLI command.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..cat.interp import Model
 from ..cat.registry import ARCH_MODEL, MODELS, resolve_model
@@ -151,6 +151,15 @@ class Toolchain:
     def _model(self, model: Union[str, Model]) -> Model:
         return resolve_model(model, self.models)
 
+    def _key(
+        self, name: str, sig_params: Dict[str, object], inputs: Tuple[str, ...]
+    ) -> Tuple[Stage, str]:
+        """The stage ``name`` resolves to and the artifact key it would
+        produce from ``inputs`` — the one place artifact identity is
+        minted."""
+        stage = self.stages.get(name)
+        return stage, make_key(name, stage.signature(**sig_params), inputs)
+
     def _run(
         self,
         name: str,
@@ -158,13 +167,16 @@ class Toolchain:
         run_params: Dict[str, object],
         inputs: Tuple[str, ...],
         trace: Optional[List[TraceEntry]],
+        seed: Optional[Callable[[str], Artifact]] = None,
     ) -> Artifact:
-        stage = self.stages.get(name)
-        key = make_key(name, stage.signature(**sig_params), inputs)
+        stage, key = self._key(name, sig_params, inputs)
         produced: List[Artifact] = []
 
         def produce() -> Artifact:
-            artifact = stage.run(key, **run_params)
+            if seed is not None:
+                artifact = seed(key)
+            else:
+                artifact = stage.run(key, **run_params)
             produced.append(artifact)
             return artifact
 
@@ -228,6 +240,43 @@ class Toolchain:
             trace,
         )
 
+    def _source_sig(
+        self,
+        model: Union[str, Model],
+        unroll: int,
+        budget: Optional[Budget],
+        keep_executions: bool,
+    ) -> Dict[str, object]:
+        return {
+            "model_sig": model_key(model, self.models),
+            "unroll": unroll,
+            "budget": budget,
+            "keep_executions": keep_executions,
+        }
+
+    def source_key(
+        self,
+        litmus: CLitmus,
+        *,
+        augment: bool = True,
+        model: Union[str, Model] = "rc11",
+        unroll: int = 2,
+        budget: Optional[Budget] = None,
+        keep_executions: bool = False,
+    ) -> str:
+        """The ``simulate-source`` artifact key :meth:`run_tv` would use
+        for ``litmus`` — computed, not run: the campaign engine's
+        source-hoisting identity."""
+        _, prepared = self._key(
+            "prepare", {"augment": augment}, (litmus.digest(),)
+        )
+        _, key = self._key(
+            "simulate-source",
+            self._source_sig(model, unroll, budget, keep_executions),
+            (prepared,),
+        )
+        return key
+
     def simulate_source(
         self,
         prepared: PreparedSource,
@@ -236,19 +285,14 @@ class Toolchain:
         budget: Optional[Budget] = None,
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
-        seed: Optional[SimulationResult] = None,
+        seed: Optional[Union[SimulationResult, ReproError]] = None,
     ) -> OutcomeSet:
-        """Source-side herd run.  ``seed`` injects a pre-computed
-        simulation (the campaign runner hoists source simulation out of
-        its per-cell loop) under the key this stage would have used, so
-        later differential/explain calls replay it from the cache."""
-        sig = {
-            "model_sig": model_key(model, self.models),
-            "unroll": unroll,
-            "budget": budget,
-            "keep_executions": keep_executions,
-        }
-        if seed is not None:
+        """Source-side herd run.  ``seed`` injects a simulation computed
+        elsewhere (a caller's hoisted result, or a campaign worker's)
+        under the key this stage would have used, so later calls replay
+        it from the cache; a :class:`ReproError` seed is cached — and
+        re-raised — like a simulation that failed here."""
+        if isinstance(seed, SimulationResult):
             # a hoisted result is cached session-wide under *this call's*
             # key; a seed simulated under a different model would poison
             # every later consumer, so the one part of its provenance a
@@ -265,33 +309,22 @@ class Toolchain:
                     f"{seed.model_name!r} but this run asked for "
                     f"{expected!r} — refusing to cache a mismatched hoist"
                 )
-            stage = self.stages.get("simulate-source")
-            key = make_key(
-                "simulate-source", stage.signature(**sig), (prepared.key,)
+
+        def seeded(key: str) -> OutcomeSet:
+            if isinstance(seed, ReproError):
+                raise seed
+            return OutcomeSet(
+                key=key,
+                stage="simulate-source",
+                inputs=(prepared.key,),
+                seconds=seed.elapsed_seconds,
+                result=seed,
+                side="source",
             )
-            inserted: List[OutcomeSet] = []
 
-            def seeded() -> OutcomeSet:
-                artifact = OutcomeSet(
-                    key=key,
-                    stage="simulate-source",
-                    inputs=(prepared.key,),
-                    seconds=seed.elapsed_seconds,
-                    result=seed,
-                    side="source",
-                )
-                inserted.append(artifact)
-                return artifact
-
-            artifact = self.cache.get("simulate-source", key, seeded)
-            if trace is not None:
-                trace.append(
-                    TraceEntry(artifact=artifact, cached=not inserted)
-                )
-            return artifact
         return self._run(
             "simulate-source",
-            sig,
+            self._source_sig(model, unroll, budget, keep_executions),
             {
                 "prepared": prepared,
                 "model": self._model(model),
@@ -301,6 +334,7 @@ class Toolchain:
             },
             (prepared.key,),
             trace,
+            seeded if seed is not None else None,
         )
 
     def simulate_target(

@@ -19,9 +19,9 @@ from repro.api import (
     fold_events,
 )
 from repro.cat.registry import MODELS, get_source
-from repro.papertests import all_tests, fig7_lb
-from repro.pipeline.campaign import ResultCache, SourceSimCache
+from repro.papertests import all_tests, fig1_exchange, fig7_lb
 from repro.pipeline.store import CampaignStore
+from repro.toolchain import stages
 from repro.tools.mcompare import baseline_view
 from repro.tools.diy import DiyConfig, build_test, get_shape
 
@@ -72,14 +72,6 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match="needs a store"):
             Session().campaign(CampaignPlan(config=CONFIG, resume=True))
 
-    def test_process_pool_with_in_memory_caches(self):
-        session = Session(result_cache=ResultCache())
-        with pytest.raises(PlanError, match="not shared with worker"):
-            session.campaign(CampaignPlan(config=CONFIG, processes=2))
-        session = Session(source_cache=SourceSimCache())
-        with pytest.raises(PlanError, match="not shared with worker"):
-            session.campaign(CampaignPlan(config=CONFIG, processes=2))
-
     def test_structural_bounds(self):
         with pytest.raises(PlanError, match="processes"):
             CampaignPlan(processes=-1)
@@ -91,6 +83,13 @@ class TestPlanValidation:
             CampaignPlan(compilers=())
         with pytest.raises(PlanError, match="at least one optimisation"):
             CampaignPlan(opts=())
+
+    def test_unknown_opt_level(self):
+        """An opt no compiler has would drop out of the work list
+        unseen; ``-Og`` (gcc only) stays valid."""
+        with pytest.raises(PlanError, match="unknown optimisation level"):
+            CampaignPlan(opts=("-O2", "-O9"))
+        assert CampaignPlan(opts=("-Og",)).opts == ("-Og",)
 
     def test_sequences_coerced_to_tuples(self):
         plan = CampaignPlan(arches=["aarch64"], opts=["-O2"],
@@ -167,7 +166,8 @@ class TestEventStream:
                 break
         assert started is not None
         # only the cells up to the first positive were evaluated
-        assert len(session.result_cache) < started.cells_total
+        cache = session.toolchain().cache
+        assert cache.misses("compile") < started.cells_total
         assert session.source_cache.misses < started.tests_input
 
     def test_early_exit_cancels_queued_pool_work(self, tmp_path, monkeypatch):
@@ -255,9 +255,9 @@ class TestParity:
 
 class TestProcessSourceHoisting:
     """The process backend hoists source simulations through the
-    session's source cache exactly as the serial engine does: the first
-    cell of each test simulates its source in a worker, every other cell
-    is shipped the cached result."""
+    session toolchain's ``simulate-source`` stage exactly as the serial
+    engine does: the first cell of each test simulates its source in a
+    worker, every other cell is shipped the cached result."""
 
     PLAN = CampaignPlan(
         tests=tuple(all_tests()), arches=("aarch64", "armv7"),
@@ -291,6 +291,25 @@ class TestProcessSourceHoisting:
         assert session.source_cache.misses == len(self.PLAN.tests)
         assert session.source_cache.hits == len(self.PLAN.tests)
 
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_source_reused_is_false_only_where_simulated(self, processes):
+        """``source_reused: false`` marks exactly the cells that ran their
+        test's source simulation, on either backend."""
+        plan = CampaignPlan(
+            tests=(fig7_lb(), fig1_exchange()), arches=("aarch64",),
+            opts=("-O1", "-O2"), compilers=("llvm",), processes=processes,
+        )
+        events = list(Session().campaign(plan))
+        report = fold_events(events)
+        flags = [e.record["source_reused"] for e in events
+                 if isinstance(e, CellFinished)]
+        assert len(flags) == 4 and report.source_simulations == 2
+        assert flags.count(False) == report.source_simulations
+        # artifact keys render whole in the canonical report
+        keys = report.to_jsonable()["source_sim_keys"]
+        assert sorted(keys) == sorted(report.source_sim_keys)
+        assert all(len(key) == 16 for key in keys)
+
     def test_second_pooled_campaign_simulates_no_source(self):
         plan = replace(self.PLAN, processes=2)
         session, _, first_records, _ = self.run(plan)
@@ -307,14 +326,14 @@ class TestProcessSourceHoisting:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("counting worker calls needs forked workers")
         calls = tmp_path / "calls"
-        real = engine.simulate_c
+        real = stages.simulate_c
 
         def counting(*args, **kwargs):
             with open(calls, "a") as handle:
                 handle.write("x")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "simulate_c", counting)
+        monkeypatch.setattr(stages, "simulate_c", counting)
         plan = replace(self.PLAN, tests=(fig7_lb(),), budget_candidates=1)
         outcomes = []
         for processes in (0, 2):

@@ -13,8 +13,6 @@ from repro.lang.printer import print_c_litmus
 from repro.pipeline import campaign as campaign_module
 from repro.pipeline.campaign import (
     CampaignCell,
-    ResultCache,
-    SourceSimCache,
     merge_reports,
 )
 from repro.pipeline.store import STORE_SCHEMA, CampaignStore, cell_key, record_key
@@ -35,13 +33,12 @@ OPTS = ("-O1", "-O2")
 COMPILERS = ("llvm", "gcc")
 
 
-def run_plan(store=None, source_cache=None, result_cache=None,
-                 **plan_fields):
-    """One campaign in a fresh session: the store and caches are session
-    state, everything else is a plan field."""
-    session = Session(
-        store=store, source_cache=source_cache, result_cache=result_cache
-    )
+def run_plan(store=None, session=None, **plan_fields):
+    """One campaign in ``session`` (default: a fresh one over ``store``):
+    the store and cache are session state, everything else is a plan
+    field."""
+    if session is None:
+        session = Session(store=store)
     return session.run(CampaignPlan(**plan_fields))
 
 
@@ -92,41 +89,43 @@ class TestDigest:
 class TestCacheIdentity:
     def test_name_collision_does_not_replay_stale_verdicts(self):
         """Two different tests both named LB001 must not share cache
-        entries when caches persist across campaigns (the pre-digest
+        entries when one session runs both campaigns (the pre-digest
         code keyed by ``litmus.name`` and replayed the first test's
         verdicts for the second)."""
         relaxed = build_test(get_shape("LB"), "rlx", name="LB001")
         strong = build_test(get_shape("LB"), "sc", name="LB001")
-        source_cache, result_cache = SourceSimCache(), ResultCache()
+        session = Session()
         first = run_plan(
             tests=[relaxed], arches=("aarch64",), opts=("-O2",),
-            compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
+            compilers=("llvm",), session=session,
         )
+        cache = session.toolchain().cache
+        compiled = cache.misses("compile")
         second = run_plan(
             tests=[strong], arches=("aarch64",), opts=("-O2",),
-            compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
+            compilers=("llvm",), session=session,
         )
         # the relaxed LB shows the positive difference; the seq_cst one
         # must not inherit it from the shared cache
         assert first.total_positive() == 1
         assert second.total_positive() == 0
-        assert second.cached_cells == 0
+        assert cache.misses("compile") == compiled + 1
         assert second.source_simulations == 1
 
     def test_same_content_different_name_shares_cache(self):
         a = build_test(get_shape("LB"), "rlx", name="LB001")
         b = build_test(get_shape("LB"), "rlx", name="LB999")
-        source_cache, result_cache = SourceSimCache(), ResultCache()
+        session = Session()
         run_plan(tests=[a], arches=("aarch64",), opts=("-O2",),
-                     compilers=("llvm",),
-                     source_cache=source_cache, result_cache=result_cache)
+                 compilers=("llvm",), session=session)
+        stats = session.toolchain().cache.stats()
         again = run_plan(tests=[b], arches=("aarch64",), opts=("-O2",),
-                             compilers=("llvm",),
-                             source_cache=source_cache,
-                             result_cache=result_cache)
-        assert again.cached_cells == 1
+                         compilers=("llvm",), session=session)
+        # every stage replays: nothing compiled or simulated again
+        assert {
+            stage: counts["misses"]
+            for stage, counts in session.toolchain().cache.stats().items()
+        } == {stage: counts["misses"] for stage, counts in stats.items()}
         assert again.source_simulations == 0
         # the report speaks the *current* test's name
         assert again.positives == [("LB999", "aarch64", "-O2", "llvm")]
@@ -361,10 +360,6 @@ class TestStore:
             1 for r in survivors.records() if r["compiler"] == "llvm"
         )
         assert llvm_cells == len(survivors) > 0
-
-    def test_process_pool_rejects_in_memory_caches(self):
-        with pytest.raises(ValueError, match="not shared with worker"):
-            small_run(processes=2, result_cache=ResultCache())
 
     def test_store_path_accepted_directly(self, tmp_path):
         path = tmp_path / "campaign.jsonl"

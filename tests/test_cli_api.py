@@ -70,6 +70,25 @@ PLAN_ERROR_CASES = [
      "'nosuchmodel'"),
     (["farm", "run", "--root", CORPUS, "--cmem", "nosuchmodel"],
      "'nosuchmodel'"),
+    (["campaign", "--small", "--opt=-O9"], "'-O9'"),
+    (["hunt", "--seeds", "examples", "--opt=-O9"], "'-O9'"),
+]
+
+#: (command line, what the one-line diagnostic must say) for single-test
+#: commands whose profile or source model does not resolve; ``{lb}`` is
+#: a readable litmus file
+RUN_ERROR_CASES = [
+    (["test", "{lb}", "--opt=-O9"], "does not support -O9"),
+    (["explain", "fig7_lb", "--opt=-O9"], "does not support -O9"),
+    (["explain", "fig7_lb", "--diff", "nosuch-O2-AArch64"],
+     "--diff nosuch-O2-AArch64: unknown compiler"),
+    (["explain", "fig7_lb", "--arch", "x86_64", "--diff", "gcc-O2-AArch64"],
+     "common architecture"),
+    (["test", "{lb}", "--cmem", "nosuch"], "--cmem nosuch: unknown model"),
+    (["explain", "fig7_lb", "--cmem", "nosuch"],
+     "--cmem nosuch: unknown model"),
+    (["reduce", "fig7_lb", "--cmem", "nosuch"],
+     "--cmem nosuch: unknown model"),
 ]
 
 
@@ -101,6 +120,29 @@ class TestInputErrors:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", RUN_ERROR_CASES)
+    def test_unresolvable_profile_or_model_exits_2(
+        self, lb_file, capsys, argv, message
+    ):
+        """Single-test commands resolve their profiles and source model
+        before running anything: a bad one is one line and exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(lb=lb_file) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_misspelt_memory_order_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bogus.litmus.c"
+        path.write_text(FIG7_SOURCE.replace("memory_order_relaxed",
+                                            "memory_order_bogus", 1))
+        assert main(["test", str(path), "--arch", "aarch64"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown memory order 'memory_order_bogus'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["campaign", "hunt", "farm"])
     def test_workers_flag_is_a_usage_error(self, capsys, command):

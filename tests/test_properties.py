@@ -327,3 +327,52 @@ class TestSuiteRoundTripProperties:
                 handle.write(torn)  # no trailing newline: a torn write
             reloaded = [t.digest() for t in SuiteSource(path)]
             assert reloaded == [t.digest() for t in family]
+
+
+# --------------------------------------------------------------------------- #
+# the C-litmus front end on damaged input
+# --------------------------------------------------------------------------- #
+def _paper_sources():
+    from repro.papertests import all_tests
+
+    return [print_c_litmus(t) for t in all_tests()]
+
+
+#: characters a mutation inserts: C punctuation, digits (``01`` is not a
+#: C literal), letters (misspelt memory orders and calls) and newlines
+_INSERTABLE = "{}()[];,=*&+-/\\~!<>:.#_0123456789xabcdeqrlmoyz \n"
+
+
+class TestCLitmusParserFuzz:
+    """Truncating, deleting from or inserting into a printed paper test
+    either still parses or raises :class:`ParseError` pointing at a line
+    of the damaged source — never another exception, never line 0."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_source_parses_or_raises_parse_error(self, data):
+        from repro.core.errors import ParseError
+        from repro.lang.parser import parse_c_litmus
+
+        sources = _paper_sources()
+        source = data.draw(st.sampled_from(sources), label="source")
+        edit = data.draw(st.sampled_from(("truncate", "delete", "insert")))
+        at = data.draw(st.integers(0, len(source)), label="at")
+        if edit == "truncate":
+            damaged = source[:at]
+        elif edit == "delete":
+            width = data.draw(st.integers(1, 12), label="width")
+            damaged = source[:at] + source[at + width:]
+        else:
+            text = data.draw(
+                st.text(alphabet=_INSERTABLE, min_size=1, max_size=4),
+                label="text",
+            )
+            damaged = source[:at] + text + source[at:]
+        try:
+            parse_c_litmus(damaged, name="damaged.litmus")
+        except ParseError as exc:
+            assert 1 <= exc.line <= max(1, len(damaged.splitlines())), (
+                exc.render()
+            )

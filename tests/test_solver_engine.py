@@ -28,7 +28,7 @@ from repro.lang import parse_c_litmus
 from repro.lang.semantics import elaborate
 from repro.papertests import fig7_lb, fig10_mp_rmw, fig11_lb3
 from repro.api import CampaignPlan, Session
-from repro.pipeline.campaign import ResultCache, SourceSimCache
+from repro.core.cache import KeyedCache
 from repro.pipeline.telechat import run_test_tv
 from repro.tools.diy import DiyConfig
 
@@ -234,9 +234,9 @@ class TestBudgetSemantics:
         assert result.outcomes
 
 
-def run_plan(source_cache=None, result_cache=None, **plan_fields):
-    """One campaign in a fresh session carrying the given caches."""
-    session = Session(source_cache=source_cache, result_cache=result_cache)
+def run_plan(session=None, **plan_fields):
+    """One campaign in ``session`` (default: a fresh one)."""
+    session = session if session is not None else Session()
     return session.run(CampaignPlan(**plan_fields))
 
 
@@ -247,32 +247,34 @@ class TestCampaignCaches:
     )
 
     def test_source_simulated_exactly_once_per_model(self):
-        cache = SourceSimCache()
+        session = Session()
         report = run_plan(
             config=self.CONFIG, arches=("aarch64", "x86_64"),
             opts=("-O1", "-O2"), compilers=("llvm", "gcc"),
-            source_cache=cache,
+            session=session,
         )
+        cache = session.source_cache
         assert report.tests_input > 0
         assert report.source_simulations == report.tests_input
-        assert cache.simulations == report.tests_input
+        assert cache.misses == report.tests_input
         # 8 cells per test consumed the cached source
         assert cache.hits == report.compiled_tests - cache.misses
 
-    def test_result_cache_skips_repeat_cells(self):
-        source_cache, result_cache = SourceSimCache(), ResultCache()
+    def test_repeat_campaign_replays_artifacts(self):
+        session = Session()
         first = run_plan(
             config=self.CONFIG, arches=("aarch64",), opts=("-O2",),
-            compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
+            compilers=("llvm",), session=session,
         )
+        cache = session.toolchain().cache
+        compiled = cache.misses("compile")
         again = run_plan(
             config=self.CONFIG, arches=("aarch64",), opts=("-O2",),
-            compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
+            compilers=("llvm",), session=session,
         )
         assert again.source_simulations == 0
-        assert again.cached_cells == again.compiled_tests > 0
+        assert again.compiled_tests > 0
+        assert cache.misses("compile") == compiled  # every cell replayed
         assert again.cells.keys() == first.cells.keys()
         for key, cell in again.cells.items():
             assert cell.positive == first.cells[key].positive
@@ -299,7 +301,7 @@ class TestCampaignCaches:
     def test_cache_replays_errors(self):
         from repro.core.errors import ReproError
 
-        cache = ResultCache()
+        cache = KeyedCache()
         calls = []
 
         def explode():

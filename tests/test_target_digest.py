@@ -28,7 +28,7 @@ from repro.compiler.profiles import parse_profile
 from repro.core.litmus import Condition, LocEq
 from repro.tools.mcompare import baseline_view
 from repro.tools.sources import SuiteSource
-from repro.toolchain import Toolchain
+from repro.toolchain import Toolchain, stages
 
 CORPUS = Path(__file__).parent / "corpus"
 PROFILE = "gcc-O1-ARM"
@@ -251,7 +251,7 @@ class TestWorkerScope:
         def no_simulation(*args, **kwargs):
             raise AssertionError("the shipped source was re-simulated")
 
-        monkeypatch.setattr(engine, "simulate_c", no_simulation)
+        monkeypatch.setattr(stages, "simulate_c", no_simulation)
         again, nothing = engine._pool_cell(task + (landed,))
         assert nothing is None
         assert baseline_view(again) == baseline_view(first)

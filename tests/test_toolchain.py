@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import CampaignPlan, PlanError, Session
 from repro.compiler.profiles import make_profile, parse_profile
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, SimulationTimeout
 from repro.papertests import fig7_lb
 from repro.pipeline.store import CampaignStore
 from repro.pipeline.telechat import differential_outcomes
@@ -72,6 +72,34 @@ class TestArtifactGraph:
         renamed = build_test(get_shape("LB"), "rlx", name="other_name")
         lb = build_test(get_shape("LB"), "rlx", name="LB001")
         assert chain.prepare(renamed).key == chain.prepare(lb).key
+
+    def test_source_key_is_the_stage_key(self):
+        """``source_key`` computes, without running anything, the key
+        ``run_tv``'s ``simulate-source`` artifact gets."""
+        chain = Toolchain()
+        litmus = fig7_lb()
+        key = chain.source_key(litmus)
+        assert chain.cache.peek("simulate-source", key) is None
+        assert chain.cache.stats() == {}  # looked up, nothing created
+        result = chain.run_tv(litmus, make_profile("llvm", "-O2", "aarch64"))
+        assert result.artifacts["simulate-source"] == key
+        assert chain.cache.peek("simulate-source", key).key == key
+
+    def test_error_seed_is_cached_and_replayed(self):
+        """A seed may be the error a simulation raised elsewhere: it is
+        cached under the stage's key and replayed, never simulated."""
+        chain = Toolchain()
+        litmus = fig7_lb()
+        prepared = chain.prepare(litmus)
+        timeout = SimulationTimeout("over budget elsewhere")
+        for seed in (timeout, None):
+            with pytest.raises(SimulationTimeout, match="elsewhere"):
+                chain.simulate_source(prepared, seed=seed)
+        assert chain.cache.misses("simulate-source") == 1
+        assert chain.cache.hits("simulate-source") == 1
+        assert chain.cache.peek(
+            "simulate-source", chain.source_key(litmus)
+        ) is timeout
 
     def test_same_inputs_same_key_across_toolchains(self):
         litmus = fig7_lb()
@@ -454,8 +482,8 @@ class TestSessionToolchain:
         report = patched.campaign(CampaignPlan(**plan_args)).report()
         assert report.compiled_tests == 1
 
-    def test_reregistering_a_stage_invalidates_cached_cells(self):
-        """The in-process result cache must not replay cells the old
+    def test_reregistering_a_stage_invalidates_cached_verdicts(self):
+        """The session's artifact cache must not replay verdicts the old
         stage set computed after a mid-session register_stage()."""
 
         class EveryoneWins(CompareStage):
@@ -476,8 +504,10 @@ class TestSessionToolchain:
         before = session.campaign(plan).report()
         assert before.total_positive() == 1  # LB at -O3: the paper's bug
         session.register_stage(EveryoneWins())
+        compared = session.toolchain().cache.misses("compare")
         after = session.campaign(plan).report()
-        assert after.cached_cells == 0  # re-simulated, not replayed
+        # compared again under the new stage, not replayed
+        assert session.toolchain().cache.misses("compare") == compared + 1
         assert after.total_positive() == 0
 
     def test_seed_model_mismatch_refused(self):
@@ -510,20 +540,6 @@ class TestSessionToolchain:
         full.get("compile", "b", lambda: 2)
         assert full.get("compile", "a", lambda: 99) == 1
         assert len(full.stage("compile")) == 2
-
-    def test_stages_token_holds_stage_references(self):
-        """The token must hold the stage objects themselves — a bare
-        id() could be recycled after GC and revive stale entries."""
-        session = Session()
-        token = session.stages_token()
-        assert any(isinstance(item[1], type(STAGES.get("compare")).__mro__[-2])
-                   or hasattr(item[1], "run") for item in token)
-        # re-registering changes the token
-        class Custom(CompareStage):
-            def signature(self):
-                return "token-test-v1"
-        session.register_stage(Custom())
-        assert session.stages_token() != token
 
     def test_session_artifact_cache_is_bounded(self):
         session = Session(artifact_cache_entries=2)
