@@ -16,7 +16,7 @@ from benchmarks._report import banner, row
 from repro.compiler import make_profile
 from repro.lang.parser import parse_c_litmus
 from repro.papertests import atomics_128
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 
 STP_ENDIAN = """
 C stp_endian
@@ -44,12 +44,11 @@ def test_bench_128bit_bugs(benchmark):
     banner("§IV-C: the 128-bit atomics bug reports")
 
     # [37] LDP seq_cst reordering
-    ldp = benchmark(
-        run_test_tv,
+    ldp = benchmark(lambda: Toolchain().run_tv(
         atomics_128(),
         make_profile("llvm", "-O2", "aarch64", version=16, v84=True),
-    )
-    ldp_fixed = run_test_tv(
+    ))
+    ldp_fixed = Toolchain().run_tv(
         atomics_128(),
         make_profile("llvm", "-O2", "aarch64", version=17, v84=True),
     )
@@ -57,7 +56,7 @@ def test_bench_128bit_bugs(benchmark):
     row("[37] with GCC-style barriers (fixed)", "no bug", ldp_fixed.verdict)
 
     # [39] wrong-endian STP
-    endian = run_test_tv(
+    endian = Toolchain().run_tv(
         parse_c_litmus(STP_ENDIAN, "stp_endian"),
         make_profile("llvm", "-O2", "aarch64", version=16, v84=True),
     )
@@ -66,11 +65,11 @@ def test_bench_128bit_bugs(benchmark):
         str((1 << 64) in flipped))
 
     # [36] const atomic load crash
-    const_v80 = run_test_tv(
+    const_v80 = Toolchain().run_tv(
         parse_c_litmus(CONST_LOAD, "const_load"),
         make_profile("llvm", "-O2", "aarch64", version=16, v84=False),
     )
-    const_fixed = run_test_tv(
+    const_fixed = Toolchain().run_tv(
         parse_c_litmus(CONST_LOAD, "const_load"),
         make_profile("llvm", "-O2", "aarch64", version=17, v84=True),
     )

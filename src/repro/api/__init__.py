@@ -2,17 +2,18 @@
 
 * :class:`Session` — owns per-session registries (models, shapes, ISAs,
   compiler epochs, baselines — as overlays over the shipped globals),
-  the toolchain's artifact cache, budgets and an optional persistent
-  store;
+  the toolchain's artifact cache, budgets, one worker pool and an
+  optional persistent store;
 * :class:`CampaignPlan` — the frozen, validated campaign description;
 * the typed event stream — :meth:`Session.campaign` yields
   :class:`CampaignStarted`, :class:`CellFinished`, :class:`ShardMerged`
   and :class:`CampaignFinished`; :func:`fold_events` folds any complete
   stream back into the batch :class:`~repro.pipeline.campaign.CampaignReport`.
 
-Below the session, :func:`~repro.pipeline.telechat.run_test_tv` and
-:func:`~repro.pipeline.telechat.run_differential` are the bare engine
-calls for one test; nothing else outside this package is supported.
+One test runs through :meth:`Session.test` / :meth:`Session.differential`,
+or without a session through :meth:`repro.toolchain.Toolchain.run_tv` /
+:meth:`~repro.toolchain.Toolchain.run_differential`; nothing else outside
+this package is supported.
 """
 
 from .engine import (

@@ -1,67 +1,12 @@
-"""The streaming campaign engine: cell producers feeding a typed event stream.
+"""The streaming campaign engine: one cell loop, :func:`_run_pending`,
+on two backends (serial, and the session's process pool), feeding a
+typed event stream that :func:`fold_events` folds back into the batch
+:class:`~repro.pipeline.campaign.CampaignReport`.  Modes ``tv``,
+``differential`` and ``hunt`` (:func:`iter_hunt`) share the loop and
+the per-run state in :class:`_CellContext`.
 
-Every campaign mode runs through one cell loop, :func:`_run_pending`,
-with two backends — serial, and a process pool — that *yield* verdict
-records as they land (completion order, not work-list order);
-:func:`fold_events` reconstructs the deterministic
-:class:`~repro.pipeline.campaign.CampaignReport` from any complete
-stream.  The per-run state every mode shares — source hoisting, store
-replay, event construction and persist-then-yield — lives in one
-:class:`_CellContext`.
-
-All three campaign modes run through the one skeleton:
-
-* ``mode="tv"`` — translation validation, one cell per (test × arch ×
-  opt × compiler), evaluated by :func:`run_test_tv`;
-* ``mode="differential"`` — compiler vs compiler (paper §IV-D), one
-  cell per (test × profile pair), evaluated by :func:`run_differential`.
-  Cells tally under ``(arch, "diff", "<spec_a>|<spec_b>")``, so shard
-  merging, store replay and event folding need no special cases;
-* ``mode="hunt"`` — the §V mutation loop (:func:`iter_hunt`): tv cells
-  over a work list that *grows* round by round from verdict feedback,
-  plus reduction of every positive (:mod:`repro.hunt`).
-
-Invariants the rest of the system builds on:
-
-* **event ordering** — a stream is ``CampaignStarted`` first,
-  ``CampaignFinished`` last (absent only if the run raised); cells may
-  arrive in any completion order but carry their deterministic
-  work-list ``index``, so folding sorts and any complete stream of the
-  same run folds identically.  Hunt streams interleave
-  :class:`HuntProgress` after each round's cells (``round_index``
-  partitions the cell stream) and :class:`TestReduced` before
-  ``CampaignFinished``; neither changes cell tallies.
-* **one cache** — every cell runs through the session toolchain, whose
-  artifact cache keys each stage by content and by what names resolve
-  *to* in the session (model signatures, profile signatures with their
-  epoch bug sets, stage signatures), so shadowing a model or swapping a
-  stage re-simulates instead of replaying stale artifacts.
-  Session-local definitions are refused for process pools (workers
-  resolve against the globals) and for persistent stores (records key
-  by name).
-* **source hoisting** — a test's source simulation runs once per
-  session and source model, on both backends: the toolchain's
-  ``simulate-source`` stage (keyed by :meth:`Toolchain.source_key`) is
-  the one hoisting point, bounded like every stage by the session's
-  ``artifact_cache_entries``.  Serial cells run straight through it; the
-  process backend ships each test's first pending cell without a
-  source, seeds the stage with the simulation its worker returns, and
-  ships the test's other cells with it attached (:func:`_run_pending`).
-  Workers keep nothing between tasks, so which cell simulates a source
-  depends on the work list alone — its record alone says
-  ``source_reused: false`` — and a source that times out or errors is
-  simulated once, its cells all getting the same ``timeout``/``error``
-  record.
-* **shard determinism** — ``shard=(k, n)`` evaluates exactly every n-th
-  cell of the deterministic work list starting at the k-th; the n shard
-  reports merge back to the unsharded report byte-for-byte.  Hunt work
-  lists are dynamic, so hunts refuse cell-sharding (shard the seed
-  source instead) — their determinism comes from round-synchronous
-  scheduling: the same seeds and verdicts schedule the same rounds on
-  both backends.
-* **persistence** — each freshly computed record is stored *before* its
-  event is yielded, so an interrupted campaign resumes from every
-  finished cell.
+The invariants this module keeps are stated once, in
+``docs/architecture.md`` ("Identity and caching invariants").
 """
 
 from __future__ import annotations
@@ -84,21 +29,14 @@ from ..hunt.reduce import ReductionError, reduce_test
 from ..hunt.scheduler import HuntScheduler
 from ..lang.ast import CLitmus
 from ..lang.printer import print_c_litmus
-# pools open through ``campaign.ProcessPoolExecutor``, looked up at call
-# time: the benchmark harness (perfbench/) counts pool starts by
-# patching it there
-from ..pipeline import campaign as campaign_mod
 from ..pipeline.campaign import (
-    STORE_SCHEMA,
     CampaignReport,
     _campaign_cells,
     _profile_name,
-    _shape_record,
     _verdict_record,
     merge_reports,
 )
 from ..pipeline.store import cell_key
-from ..pipeline.telechat import run_differential, run_test_tv
 from ..toolchain import Toolchain
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
 from .events import (
@@ -126,12 +64,10 @@ SOURCE_STAGE = "simulate-source"
 _WORKER_SOURCE_CACHES: Dict[Tuple, KeyedCache] = {}
 
 #: per-process staged toolchain (the benchmark harness, perfbench/,
-#: reads its cache counters).  Its artifact entries live for one pool task
-#: (:func:`_in_worker` clears them on return; the hit/miss counters keep
-#: running): which cells share a worker depends on scheduling, so
-#: cross-task reuse would make a run's work — and its cache counters —
-#: vary from run to run.  Scoping also bounds the worker's memory however
-#: many cells it evaluates.
+#: reads its cache counters).  Its artifact entries live for one pool
+#: task (:func:`_pool_cell` clears them on return; the hit/miss counters
+#: keep running), so which cells share a worker never changes a run's
+#: work, and the worker's memory stays bounded.
 _WORKER_TOOLCHAIN = Toolchain()
 
 
@@ -155,20 +91,54 @@ def _source(
     ).result
 
 
-def _in_worker(
-    evaluate: Callable[[], Dict[str, object]], litmus: CLitmus, tail: Tuple
-) -> Tuple[Dict[str, object], object]:
-    """Run one pool task's ``evaluate()`` over the worker's toolchain,
-    clearing its artifacts on return.
+def _run_cell(toolchain: Toolchain, task: Tuple, epochs=None):
+    """One cell's result through ``toolchain``: test_tv under the
+    ``(compiler, opt, arch)`` profile, or — when the task carries a
+    differential ``(spec_a, spec_b)`` pair — the two profiles compared.
+    ``task`` is the :func:`_pool_cell` tuple; profiles resolve against
+    ``epochs`` (``None``: the global table) and models against the
+    toolchain's registry."""
+    (litmus, arch, opt, compiler, pair, source_model, augment,
+     budget_candidates) = task[:8]
+    budget = Budget(max_candidates=budget_candidates)
+    if pair is None:
+        return toolchain.run_tv(
+            litmus, make_profile(compiler, opt, arch, epochs=epochs),
+            source_model=source_model, augment=augment, budget=budget,
+        )
+    return toolchain.run_differential(
+        litmus, *(parse_profile(spec, epochs=epochs) for spec in pair),
+        source_model=source_model, augment=augment, budget=budget,
+    )
 
-    ``tail`` ends in the source the parent shipped (see
-    :func:`_run_pending`): the test's cached simulation or its cached
-    error, seeded into the worker's ``simulate-source`` stage so the
-    cell replays it — or ``None`` for a test's first cell, which
-    simulates its source and hands back what landed (result or error)
-    beside the record for the parent to seed.  The JSON-able record, not
-    a result object, is the cross-process (and on-disk) currency."""
-    source_model, augment, budget_candidates, source = tail
+
+def _cell_record(
+    toolchain: Toolchain, task: Tuple, epochs=None
+) -> Dict[str, object]:
+    """:func:`_run_cell` shaped as the cell's verdict record."""
+    return _verdict_record(
+        *task[:4], *task[5:8],
+        lambda: _run_cell(toolchain, task, epochs),
+        pair=task[4],
+    )
+
+
+def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
+    """Evaluate one cell in a worker process (the benchmark harness,
+    perfbench/, swaps this name for a traced wrapper).
+
+    ``task`` is ``(test, arch, opt, compiler, pair, source_model,
+    augment, budget_candidates, source)``; ``pair`` is ``None`` for a tv
+    cell.  Workers resolve models and profiles against the *global*
+    registries (the session refuses to ship session-local definitions).
+    ``source`` is what the parent shipped (see :func:`_run_pending`):
+    the test's cached simulation or error, seeded into the worker's
+    ``simulate-source`` stage — or ``None`` for a test's first cell,
+    which simulates its source and hands back what landed (result or
+    error) beside the JSON-able record for the parent to seed.
+    """
+    litmus = task[0]
+    source_model, augment, budget_candidates, source = task[5:]
     landed = None
     try:
         if source is not None:
@@ -177,7 +147,7 @@ def _in_worker(
                         budget_candidates, source)
             except ReproError:
                 pass  # cached: the cell's own run replays it
-        record = evaluate()
+        record = _cell_record(_WORKER_TOOLCHAIN, task)
         if source is None:
             landed = _WORKER_TOOLCHAIN.cache.peek(
                 SOURCE_STAGE,
@@ -193,95 +163,6 @@ def _in_worker(
     return record, landed
 
 
-def _pool_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
-    """Evaluate one tv cell in a worker process (the benchmark harness,
-    perfbench/, swaps this name for a traced wrapper).
-
-    Worker processes resolve models against the *global* registries —
-    session overlays do not cross the process boundary (the session
-    refuses to try).
-    """
-    litmus, arch, opt, compiler, source_model, augment, budget_candidates = (
-        task[:7]
-    )
-    return _in_worker(lambda: _verdict_record(
-        litmus, arch, opt, compiler, source_model, augment,
-        budget_candidates,
-        lambda: run_test_tv(
-            litmus,
-            make_profile(compiler, opt, arch),
-            source_model=source_model,
-            augment=augment,
-            budget=Budget(max_candidates=budget_candidates),
-            toolchain=_WORKER_TOOLCHAIN,
-        ),
-    ), litmus, task[4:])
-
-
-def _diff_verdict_record(
-    litmus: CLitmus,
-    arch: str,
-    label: str,
-    spec_a: str,
-    spec_b: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-    produce_result,
-) -> Dict[str, object]:
-    """Run one differential cell and shape its outcome as a verdict
-    record — the tv status contract (``_shape_record``).  ``label``
-    (``"<spec_a>|<spec_b>"``) stands in for the profile name in the
-    store key, so differential verdicts persist and resume like tv ones.
-    """
-    identity = {
-        "profile": label,
-        "profile_a": spec_a,
-        "profile_b": spec_b,
-        "source_model": source_model,
-    }
-    record = _shape_record(
-        dict(
-            identity,
-            schema=STORE_SCHEMA,
-            digest=litmus.digest(),
-            test=litmus.name,
-            mode="differential",
-            arch=arch,
-            opt="diff",
-            compiler=label,
-            augment=bool(augment),
-            budget_candidates=budget_candidates,
-        ),
-        produce_result,
-    )
-    # identity fields win over the result's name-based rendering: plan
-    # profile *specs* may carry a version suffix profile names drop
-    record.update(identity)
-    return record
-
-
-def _pool_diff_cell(task: Tuple) -> Tuple[Dict[str, object], object]:
-    """Evaluate one differential cell in a worker process (profiles are
-    re-parsed against the global registries).  The source simulation is
-    the UB oracle, shipped and returned as in :func:`_pool_cell`."""
-    (litmus, arch, label, spec_a, spec_b, source_model, augment,
-     budget_candidates) = task[:8]
-    return _in_worker(lambda: _diff_verdict_record(
-        litmus, arch, label, spec_a, spec_b, source_model, augment,
-        budget_candidates,
-        lambda: run_differential(
-            litmus,
-            parse_profile(spec_a),
-            parse_profile(spec_b),
-            source_model=source_model,
-            augment=augment,
-            budget=Budget(max_candidates=budget_candidates),
-            toolchain=_WORKER_TOOLCHAIN,
-        ),
-    ), litmus, task[5:])
-
-
 def _run_pending(
     pending: List[Tuple[int, Cell]], ctx: "_CellContext"
 ) -> Iterator[Tuple[int, Cell, Dict[str, object]]]:
@@ -291,30 +172,23 @@ def _run_pending(
     Serial (``processes=0``) evaluates cells in work-list order through
     the session toolchain; a failure propagates at once.
 
-    The process pool streams records in *completion* order (events carry
-    their deterministic index, so folding is order-independent) and
-    hoists each source simulation into the session toolchain's
-    ``simulate-source`` stage like the serial backend.  The first pending
-    cell of each test (work-list order) ships with no source and
-    simulates it in its worker, which hands the simulation back beside
-    the record; the parent seeds the stage with it
-    (:meth:`_CellContext.seed`) and only then ships the test's held
-    cells, each with the cached simulation (or its cached timeout/error)
-    attached.  So which cell simulates a source depends on the work list
-    alone, never on scheduling, and a failing source is simulated once.
-    A first cell that lands no simulation (it crashed, or failed before
-    reaching the source) passes the role to the next held cell — the
-    :class:`~repro.core.cache.KeyedCache` retry rule.  An unexpected
-    exception from one cell never discards the verdicts of cells that
-    still ran (everything streams, then the first failure re-raises),
-    and a consumer that abandons the stream early cancels everything
-    still queued, so pool shutdown only waits for the cells already
-    running.
+    The process backend runs on the session's pool
+    (:meth:`Session.process_pool`) and streams records in completion
+    order.  The first pending cell of each test (work-list order) ships
+    with no source and simulates it in its worker; the parent seeds its
+    ``simulate-source`` stage with what comes back (:meth:`_CellContext.seed`)
+    and only then ships the test's held cells with it attached.  A first
+    cell that lands no simulation passes the role to the next held cell.
+    An unexpected exception from one cell never discards the verdicts of
+    cells that still ran (everything streams, then the first failure
+    re-raises), and a consumer that abandons the stream cancels
+    everything still queued.
     """
     if not pending or ctx.plan.processes == 0:
         for index, item in pending:
-            yield index, item, ctx.evaluate(*item)
+            yield index, item, ctx.evaluate(item)
         return
+    pool = ctx.session.process_pool(ctx.plan.processes)
     #: source key -> cells waiting for that source's first cell to land
     held: Dict[str, List[Tuple[int, Cell]]] = {}
     #: future -> (index, item, source key if it is a first cell else None)
@@ -322,62 +196,57 @@ def _run_pending(
     to_ship: deque = deque(pending)
     first_error: Optional[BaseException] = None
 
-    with campaign_mod.ProcessPoolExecutor(
-        max_workers=ctx.plan.processes
-    ) as pool:
+    def ship() -> List:
+        """Submit (or hold) every cell in ``to_ship``; the new futures."""
+        nonlocal first_error
+        submitted = []
+        while to_ship:
+            index, item = to_ship.popleft()
+            key = ctx.source_key_of(item[0])
+            if key in held:
+                held[key].append((index, item))
+                continue
+            first = ctx.toolchain.cache.peek(SOURCE_STAGE, key) is None
+            source: object = None
+            if not first:
+                try:  # a cache hit: replays the result or its error
+                    source = ctx.source(item[0])
+                except ReproError as exc:
+                    source = exc
+            try:
+                # looked up at call time: a swapped _pool_cell is honoured
+                future = pool.submit(_pool_cell, ctx.task(item, source))
+            except Exception as exc:  # e.g. a broken pool
+                first_error = first_error or exc
+                continue
+            if first:
+                held[key] = []
+            futures[future] = (index, item, key if first else None)
+            submitted.append(future)
+        return submitted
 
-        def ship() -> List:
-            """Submit (or hold) every cell in ``to_ship``; the new futures."""
-            nonlocal first_error
-            submitted = []
-            while to_ship:
-                index, item = to_ship.popleft()
-                key = ctx.source_key_of(item[0])
-                if key in held:
-                    held[key].append((index, item))
-                    continue
-                first = ctx.toolchain.cache.peek(SOURCE_STAGE, key) is None
-                source: object = None
-                if not first:
-                    try:  # a cache hit: replays the result or its error
-                        source = ctx.source(item[0])
-                    except ReproError as exc:
-                        source = exc
+    try:
+        outstanding = set(ship())
+        while outstanding:
+            done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda f: futures[f][0]):
+                index, item, key = futures[future]
+                record = landed = None
                 try:
-                    future = pool.submit(*ctx.pool_task(*item, source))
-                except Exception as exc:  # e.g. a broken pool
+                    record, landed = future.result()
+                except Exception as exc:
                     first_error = first_error or exc
-                    continue
-                if first:
-                    held[key] = []
-                futures[future] = (index, item, key if first else None)
-                submitted.append(future)
-            return submitted
-
-        try:
-            outstanding = set(ship())
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in sorted(done, key=lambda f: futures[f][0]):
-                    index, item, key = futures[future]
-                    record = landed = None
-                    try:
-                        record, landed = future.result()
-                    except Exception as exc:
-                        first_error = first_error or exc
-                    if key is not None:
-                        if landed is not None:
-                            ctx.seed(item[0], key, landed)
-                        to_ship.extend(held.pop(key))
-                        outstanding.update(ship())
-                    if record is not None:
-                        yield index, item, record
-        finally:
-            # an abandoned stream cancels everything still queued
-            for future in futures:
-                future.cancel()
+                if key is not None:
+                    if landed is not None:
+                        ctx.seed(item[0], key, landed)
+                    to_ship.extend(held.pop(key))
+                    outstanding.update(ship())
+                if record is not None:
+                    yield index, item, record
+    finally:
+        # an abandoned stream cancels everything still queued
+        for future in futures:
+            future.cancel()
     if first_error is not None:
         raise first_error
 
@@ -386,12 +255,11 @@ class _CellContext:
     """The per-run state every campaign mode's cells share.
 
     Owns source hoisting over the session toolchain's ``simulate-source``
-    stage (run there, or seeded from a pool worker), the two faces of one
-    cell — the in-process :meth:`evaluate` (through the session
-    toolchain) and the :meth:`pool_task` the process backend ships — and
-    the event side: store replay (:meth:`split`), ``CellFinished``
-    construction, persist-then-yield (:meth:`cells`) and the run totals
-    the ``CampaignStarted``/``CampaignFinished`` bookends report.
+    stage (run there, or seeded from a pool worker), the cell task both
+    backends evaluate (:meth:`task`), and the event side: store replay
+    (:meth:`split`), ``CellFinished`` construction, persist-then-yield
+    (:meth:`cells`) and the run totals the ``CampaignStarted`` /
+    ``CampaignFinished`` bookends report.
     """
 
     def __init__(
@@ -399,9 +267,8 @@ class _CellContext:
     ) -> None:
         self.plan = plan
         self.session = session
-        #: differential mode: pair label -> (spec_a, prof_a, spec_b, prof_b)
-        self.pairs: Dict[str, Tuple] = pairs or {}
-        self.differential = plan.mode == "differential"
+        #: differential mode: pair label -> (spec_a, spec_b)
+        self.pairs: Dict[str, Tuple[str, str]] = pairs or {}
         self.source_model = plan.source_model
         self.augment = plan.augment
         self.budget_candidates = plan.budget_candidates
@@ -434,77 +301,27 @@ class _CellContext:
         except ReproError:
             pass  # cached for replay; the first cell's record has it
 
-    # -- one cell, two faces ------------------------------------------- #
-    def run_tv(self, litmus: CLitmus, profile):
-        """test_tv through the session toolchain (campaign cells, and the
-        hunt's reduction oracle and reduced records)."""
-        return run_test_tv(
-            litmus,
-            profile,
-            source_model=self.session.model(self.source_model),
-            target_model=self.session.arch_model(profile.arch),
-            augment=self.augment,
-            budget=Budget(max_candidates=self.budget_candidates),
-            toolchain=self.toolchain,
-        )
+    # -- one cell ------------------------------------------------------- #
+    def task(self, item: Cell, source=None) -> Tuple:
+        """The :func:`_pool_cell` tuple of ``item``: its tv profile axes
+        or its differential pair, and this run's settings."""
+        return (*item, self.pairs.get(item[3]), self.source_model,
+                self.augment, self.budget_candidates, source)
 
-    def run_diff_cell(self, litmus: CLitmus, arch: str, label: str):
-        _, prof_a, _, prof_b = self.pairs[label]
-        return run_differential(
-            litmus,
-            prof_a,
-            prof_b,
-            source_model=self.session.model(self.source_model),
-            target_model=self.session.arch_model(arch),
-            augment=self.augment,
-            budget=Budget(max_candidates=self.budget_candidates),
-            toolchain=self.toolchain,
-        )
-
-    def evaluate(
-        self, litmus: CLitmus, arch: str, opt: str, compiler: str
-    ) -> Dict[str, object]:
-        """The serial face of one cell: its verdict record.  A cell that
-        finds its source absent from the ``simulate-source`` stage and
-        leaves it there simulated it, and counts toward the run's source
-        simulations."""
-        key = self.source_key_of(litmus)
+    def evaluate(self, item: Cell) -> Dict[str, object]:
+        """One cell's verdict record through the session toolchain (the
+        session's epoch overlay decides which compiler bugs it
+        simulates).  A cell that finds its source absent from the
+        ``simulate-source`` stage and leaves it there simulated it, and
+        counts toward the run's source simulations."""
+        key = self.source_key_of(item[0])
         fresh = self.toolchain.cache.peek(SOURCE_STAGE, key) is None
-        if self.differential:
-            spec_a, _, spec_b, _ = self.pairs[compiler]
-            record = _diff_verdict_record(
-                litmus, arch, compiler, spec_a, spec_b, self.source_model,
-                self.augment, self.budget_candidates,
-                lambda: self.run_diff_cell(litmus, arch, compiler),
-            )
-        else:
-            # the session's epoch overlay decides which compiler bugs
-            # this cell simulates (private epochs are process/store-
-            # guarded by _check_session_constraints)
-            record = _verdict_record(
-                litmus, arch, opt, compiler, self.source_model,
-                self.augment, self.budget_candidates,
-                lambda: self.run_tv(litmus, make_profile(
-                    compiler, opt, arch, epochs=self.session.epochs
-                )),
-            )
+        record = _cell_record(
+            self.toolchain, self.task(item), self.session.epochs
+        )
         if fresh and self.toolchain.cache.peek(SOURCE_STAGE, key) is not None:
             self.simulated_sources.add(key)
         return record
-
-    def pool_task(
-        self, litmus: CLitmus, arch: str, opt: str, compiler: str, source
-    ) -> Tuple[Callable, Tuple]:
-        """The process face of one cell: the worker entry point (looked
-        up at call time, so a swapped ``_pool_cell`` is honoured) and the
-        task tuple shipped to it."""
-        tail = (self.source_model, self.augment, self.budget_candidates,
-                source)
-        if self.differential:
-            spec_a, _, spec_b, _ = self.pairs[compiler]
-            return _pool_diff_cell, (litmus, arch, compiler, spec_a,
-                                     spec_b) + tail
-        return _pool_cell, (litmus, arch, opt, compiler) + tail
 
     # -- events -------------------------------------------------------- #
     def split(
@@ -521,7 +338,7 @@ class _CellContext:
                 litmus, arch, opt, compiler = item
                 # differential cells key by their "<a>|<b>" pair label
                 label = (
-                    compiler if self.differential
+                    compiler if compiler in self.pairs
                     else _profile_name(compiler, opt, arch)
                 )
                 stored = self.store.get(cell_key(
@@ -665,29 +482,27 @@ def _check_session_constraints(plan: CampaignPlan, session) -> None:
 
 def _resolve_pairs(plan: CampaignPlan, session) -> Tuple[str, Dict]:
     """A differential plan's common architecture and its profile pairs
-    (label -> (spec_a, prof_a, spec_b, prof_b)).  Resolved eagerly: an
-    unresolvable or cross-architecture pairing is a plan mistake, not a
-    per-cell error (there is nothing meaningful left to run)."""
-    resolved = []
+    (label -> (spec_a, spec_b)).  Resolved eagerly: an unresolvable or
+    cross-architecture pairing is a plan mistake, not a per-cell error
+    (there is nothing meaningful left to run)."""
+    arches = set()
     for spec in plan.profiles or ():
         try:
-            resolved.append((spec, session.profile(spec)))
+            arches.add(session.profile(spec).arch)
         except ReproError as exc:
             raise PlanError(
                 f"differential profile {spec!r} failed to resolve: {exc}"
             )
-    arches = sorted({profile.arch for _, profile in resolved})
     if len(arches) != 1:
         raise PlanError(
             f"differential testing requires a common architecture; "
-            f"profiles target {arches}"
+            f"profiles target {sorted(arches)}"
         )
     pairs = {
-        f"{spec_a}|{spec_b}": (spec_a, prof_a, spec_b, prof_b)
-        for (spec_a, prof_a), (spec_b, prof_b)
-        in itertools.combinations(resolved, 2)
+        f"{spec_a}|{spec_b}": (spec_a, spec_b)
+        for spec_a, spec_b in itertools.combinations(plan.profiles, 2)
     }
-    return arches[0], pairs
+    return arches.pop(), pairs
 
 
 def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
@@ -833,13 +648,13 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             round_tests = scheduled
             round_index += 1
 
-        for litmus, arch, opt, compiler in (
-            positive_cells if plan.reduce else ()
-        ):
-            profile = make_profile(compiler, opt, arch, epochs=session.epochs)
+        for litmus, *axes in positive_cells if plan.reduce else ():
 
             def still_positive(candidate: CLitmus) -> bool:
-                return ctx.run_tv(candidate, profile).verdict == "positive"
+                return _run_cell(
+                    ctx.toolchain, ctx.task((candidate, *axes)),
+                    session.epochs,
+                ).verdict == "positive"
 
             try:
                 reduction = reduce_test(litmus, still_positive)
@@ -848,10 +663,8 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
                 # disagrees (e.g. a stale store) — nothing to reduce
                 continue
             reduced = reduction.reduced
-            record = _verdict_record(
-                reduced, arch, opt, compiler, ctx.source_model, ctx.augment,
-                ctx.budget_candidates,
-                lambda: ctx.run_tv(reduced, profile),
+            record = _cell_record(
+                ctx.toolchain, ctx.task((reduced, *axes)), session.epochs
             )
             record["mode"] = "hunt"
             record.update(reduction.lineage())

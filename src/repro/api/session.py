@@ -9,15 +9,17 @@ service can hold one per tenant, each with private models and profiles,
 over one shared process.
 
     >>> from repro.api import CampaignPlan, Session
-    >>> session = Session()
-    >>> result = session.test(litmus, "llvm-O3-AArch64")
-    >>> for event in session.campaign(CampaignPlan(config=my_config)):
-    ...     print(event.as_dict())
+    >>> with Session() as session:
+    ...     result = session.test(litmus, "llvm-O3-AArch64")
+    ...     for event in session.campaign(CampaignPlan(config=my_config)):
+    ...         print(event.as_dict())
 """
 
 from __future__ import annotations
 
 import os
+import weakref
+from concurrent.futures import Executor
 from typing import Callable, Iterable, Optional, Set, Union
 
 from ..asm.isa.base import ISAS, Isa, ensure_registered
@@ -35,16 +37,15 @@ from ..core.cache import KeyedCache
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
 from ..lang.ast import CLitmus
+# pools open through ``campaign.ProcessPoolExecutor``, looked up at call
+# time: the benchmark harness (perfbench/) counts pool starts by
+# patching it there
+from ..pipeline import campaign as campaign_mod
 from ..pipeline.campaign import CampaignReport
 from ..pipeline.store import CampaignStore
-from ..pipeline.telechat import (
-    DifferentialResult,
-    TelechatResult,
-    run_differential,
-    run_test_tv,
-)
 from ..hunt.reduce import ReductionResult, reduce_test
 from ..toolchain import STAGES, ArtifactCache, Stage, Toolchain, ToolchainTrace
+from ..toolchain.results import DifferentialResult, TelechatResult
 from ..tools.diy import SHAPES, Shape
 from ..tools.mutate import MUTATIONS
 from ..tools.sources import TestSource
@@ -52,8 +53,36 @@ from .engine import CampaignStream, iter_campaign, iter_hunt, iter_sharded
 from .plan import CampaignPlan, FarmPlan, PlanError
 
 
+class _Pool:
+    """The session's one worker pool, held apart from the session so the
+    session's garbage-collection finalizer can close it."""
+
+    def __init__(self) -> None:
+        self.executor: Optional[Executor] = None
+        self.processes = 0
+
+    def get(self, processes: int) -> Executor:
+        executor = self.executor
+        # a pool a dead worker broke refuses all work: drop it
+        if executor is not None and (
+            self.processes != processes or getattr(executor, "_broken", False)
+        ):
+            self.close()
+        if self.executor is None:
+            self.executor = campaign_mod.ProcessPoolExecutor(
+                max_workers=processes
+            )
+            self.processes = processes
+        return self.executor
+
+    def close(self, wait: bool = True) -> None:
+        executor, self.executor = self.executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
+
+
 class Session:
-    """Session-scoped registries, cache, budgets and storage.
+    """Session-scoped registries, cache, budgets, worker pool and storage.
 
     The session has one in-memory cache: its toolchain's per-stage
     artifact cache, shared by every :meth:`test`, :meth:`differential`,
@@ -62,6 +91,13 @@ class Session:
     a second campaign in the same session replays every source (and
     every compile, lift and target simulation) it already has.  Verdicts
     outlive the session only through the ``store``.
+
+    Process-backend runs (``processes=N``) share one worker pool per
+    session: opened by the first such run, reused by every later
+    campaign, farm baseline and hunt round with the same N, replaced for
+    a different N or when a dead worker broke it.  :meth:`close` — or
+    leaving ``with Session() as session:`` — shuts it down; a session
+    that is garbage-collected unclosed shuts it down without waiting.
 
     Args:
         store: a :class:`CampaignStore` (or a path to one) that campaigns
@@ -110,6 +146,25 @@ class Session:
         #: warning-severity diagnostics collected from lint-validated
         #: registrations (errors raise instead of landing here)
         self.lint_warnings: list = []
+        self._pool = _Pool()
+        weakref.finalize(self, self._pool.close, False)
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut down the session's worker pool, waiting for its workers
+        to exit.  The session stays usable: a later process-backend run
+        opens a new pool."""
+        self._pool.close()
+
+    def process_pool(self, processes: int) -> Executor:
+        """The session's worker pool with ``processes`` workers — the
+        campaign engine's process backend runs every cell on it."""
+        return self._pool.get(processes)
 
     @property
     def source_cache(self) -> KeyedCache:
@@ -331,16 +386,16 @@ class Session:
         budget: Optional[Budget] = None,
         source_result=None,
     ) -> TelechatResult:
-        """Run test_tv on one C litmus test — :func:`run_test_tv` with
-        models and profiles resolved against this session and the
-        session's cached toolchain."""
+        """Run test_tv on one C litmus test — :meth:`Toolchain.run_tv`
+        over the session's cached toolchain, with models and profiles
+        resolved against this session."""
         resolved_profile = self.profile(profile)
         if budget is None and self.budget_candidates is not None:
             budget = Budget(max_candidates=self.budget_candidates)
         target = target_model
         if target is None:
             target = self.arch_model(resolved_profile.arch)
-        return run_test_tv(
+        return self._toolchain.run_tv(
             litmus,
             resolved_profile,
             source_model=self.model(source_model),
@@ -350,7 +405,6 @@ class Session:
             unroll=unroll,
             budget=budget,
             source_result=source_result,
-            toolchain=self._toolchain,
         )
 
     def differential(
@@ -376,7 +430,7 @@ class Session:
         resolved_source = (
             None if source_model is None else self.model(source_model)
         )
-        return run_differential(
+        return self._toolchain.run_differential(
             litmus,
             self.profile(profile_a),
             self.profile(profile_b),
@@ -388,13 +442,12 @@ class Session:
             optimise=optimise,
             unroll=unroll,
             budget=budget,
-            toolchain=self._toolchain,
         )
 
     def toolchain(self) -> "Toolchain":
         """The session's staged tool-chain — run stages individually,
         inspect ``.describe()`` (stage inventory + per-stage cache
-        counters), or pass to the bare engine entry points.  The
+        counters), or call :meth:`Toolchain.run_tv` directly.  The
         benchmark harness (perfbench/) reads its cache counters here."""
         return self._toolchain
 

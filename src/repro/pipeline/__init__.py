@@ -1,4 +1,4 @@
-"""The Telechat pipeline: test_tv driver, campaign runner, store, CLI."""
+"""The Telechat pipeline: campaign reports, verdict store, farm corpus, CLI."""
 
 from .campaign import (
     ARCH_DISPLAY,
@@ -20,17 +20,14 @@ from .farm import (
     read_baseline,
     write_baseline,
 )
-from .store import CampaignStore, cell_key, record_key
-from .telechat import (
+from ..toolchain.results import (
     DifferentialResult,
     TelechatResult,
     comparison_from_record,
-    differential_outcomes,
     outcomes_from_jsonable,
     outcomes_to_jsonable,
-    run_differential,
-    run_test_tv,
 )
+from .store import CampaignStore, cell_key, record_key
 
 __all__ = [
     "ARCH_DISPLAY",
@@ -55,9 +52,6 @@ __all__ = [
     "outcomes_from_jsonable",
     "outcomes_to_jsonable",
     "record_key",
-    "run_differential",
-    "run_test_tv",
     "DifferentialResult",
     "TelechatResult",
-    "differential_outcomes",
 ]

@@ -8,9 +8,9 @@ vocabulary every backend and mode shares:
 * :class:`CampaignReport` / :class:`CampaignCell` — the tally in the
   paper's Table IV layout, plus :func:`merge_reports` for folding shard
   reports back into the single-run table;
-* the verdict-record shapers (``_verdict_record``/``_shape_record``) —
-  the single status contract the serial and process backends and the
-  persistent store all speak.
+* the verdict-record shaper (``_verdict_record``) — the single status
+  contract tv and differential cells, the serial and process backends
+  and the persistent store all speak.
 
 The reproduction target is the *shape* of Table IV, whatever the suite
 size: positives only on Armv8, Armv7, RISC-V and PowerPC (the Fig. 7
@@ -22,12 +22,14 @@ for GCC ``-O1`` on Armv7 (the deleted control dependency, masked at
 
 from __future__ import annotations
 
-# a module attribute the engine looks up when it opens a pool: the
+# a module attribute the session looks up when it opens its pool: the
 # benchmark harness (perfbench/) counts pool starts by patching
 # ``campaign.ProcessPoolExecutor``
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..compiler.profiles import (
     GCC_OPT_LEVELS,
@@ -36,8 +38,8 @@ from ..compiler.profiles import (
 )
 from ..core.errors import ReproError, SimulationTimeout
 from ..lang.ast import CLitmus
+from ..toolchain.results import DifferentialResult, TelechatResult
 from .store import STORE_SCHEMA
-from .telechat import TelechatResult
 
 #: Table IV's column order.
 CAMPAIGN_OPTS = ("-O1", "-O2", "-O3", "-Ofast", "-Og")
@@ -296,7 +298,7 @@ def _profile_name(compiler: str, opt: str, arch: str) -> str:
         return f"{compiler}-{opt.lstrip('-')}-{arch}"
 
 
-def _base_record(
+def _verdict_record(
     litmus: CLitmus,
     arch: str,
     opt: str,
@@ -304,9 +306,20 @@ def _base_record(
     source_model: str,
     augment: bool,
     budget_candidates: int,
+    produce_result: Callable[[], Union[TelechatResult, DifferentialResult]],
+    pair: Optional[Tuple[str, str]] = None,
 ) -> Dict[str, object]:
-    """The identity half of a verdict record (see :mod:`.store`)."""
-    return {
+    """Run one cell producer and shape its outcome as a verdict record
+    (see :mod:`.store`) — the single status contract of tv and
+    differential cells, of the serial and process backends, and of the
+    store, so a new status class reaches every record together.
+
+    A differential cell passes its ``(spec_a, spec_b)`` ``pair``; its
+    ``compiler`` is the ``"<spec_a>|<spec_b>"`` label, which stands in
+    for the profile name in the store key, so differential verdicts
+    persist and resume like tv ones.
+    """
+    record: Dict[str, object] = {
         "schema": STORE_SCHEMA,
         "digest": litmus.digest(),
         "test": litmus.name,
@@ -318,45 +331,19 @@ def _base_record(
         "augment": bool(augment),
         "budget_candidates": budget_candidates,
     }
-
-
-def _shape_record(
-    base: Dict[str, object], produce_result: Callable
-) -> Dict[str, object]:
-    """Run one cell producer and shape its outcome onto ``base``.
-
-    The single status contract shared by every execution backend *and*
-    both campaign modes — serial and process pool must emit
-    byte-identical record shapes or the store would replay whichever
-    backend wrote last, and a new status class added here reaches tv and
-    differential records together.
-    """
+    identity: Dict[str, object] = {}
+    if pair is not None:
+        identity = {"profile": compiler, "profile_a": pair[0],
+                    "profile_b": pair[1], "mode": "differential"}
+        record.update(identity)
     try:
         result = produce_result()
     except SimulationTimeout:
-        return dict(base, status="timeout")
+        return dict(record, status="timeout")
     except ReproError:
-        return dict(base, status="error")
-    record = dict(base, status="ok")
-    record.update(result.to_record())
+        return dict(record, status="error")
+    record.update(status="ok", **result.to_record())
+    # identity fields win over the result's name-based rendering: plan
+    # profile *specs* may carry a version suffix profile names drop
+    record.update(identity)
     return record
-
-
-def _verdict_record(
-    litmus: CLitmus,
-    arch: str,
-    opt: str,
-    compiler: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-    produce_result: Callable[[], TelechatResult],
-) -> Dict[str, object]:
-    """Run one tv cell and shape its outcome as a verdict record."""
-    return _shape_record(
-        _base_record(
-            litmus, arch, opt, compiler, source_model, augment,
-            budget_candidates,
-        ),
-        produce_result,
-    )

@@ -62,46 +62,50 @@ from ..compiler.profiles import ARCHES, EPOCHS, default_profiles
 from ..core.errors import LintError, ParseError, ReproError
 from ..lang.parser import parse_c_litmus
 from ..tools.diy import SHAPES, DiyConfig, build_test, small_config
+from ..tools.sources import SuiteFormatError
 from .store import CampaignStore
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
     """The artefact's ``make examples`` smoketest."""
-    session = Session()
-    profile = session.profile(("llvm", "-O3", "aarch64"))
-    print(f"profile: {profile.name}\n")
-    for fence in (None,):
-        test = build_test(session.shape("LB"), "rlx", fence=fence, name="LB004")
-        for model in ("rc11", "rc11+lb"):
-            result = session.test(test, profile, source_model=model)
-            print(f"== {test.name} under {model} ==")
-            print(result.comparison.pretty())
-            print(
-                f"   target simulation: {result.target_seconds*1000:.1f} ms, "
-                f"{result.compiled_loc} compiled instructions, "
-                f"{result.s2l_stats.total_removed} removed by s2l"
+    with Session() as session:
+        profile = session.profile(("llvm", "-O3", "aarch64"))
+        print(f"profile: {profile.name}\n")
+        for fence in (None,):
+            test = build_test(
+                session.shape("LB"), "rlx", fence=fence, name="LB004"
             )
-            print()
-    return 0
+            for model in ("rc11", "rc11+lb"):
+                result = session.test(test, profile, source_model=model)
+                print(f"== {test.name} under {model} ==")
+                print(result.comparison.pretty())
+                print(
+                    f"   target simulation: "
+                    f"{result.target_seconds*1000:.1f} ms, "
+                    f"{result.compiled_loc} compiled instructions, "
+                    f"{result.s2l_stats.total_removed} removed by s2l"
+                )
+                print()
+        return 0
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
     with open(args.file) as handle:
         source = handle.read()
     litmus = parse_c_litmus(source, name=args.file)
-    session = Session()
-    from ..herd.enumerate import Budget
+    with Session() as session:
+        from ..herd.enumerate import Budget
 
-    profile, _ = _resolve_run(session, args)
-    result = session.test(
-        litmus,
-        profile,
-        source_model=args.cmem,
-        budget=Budget(deadline_seconds=args.timeout),
-    )
-    print(result.comparison.pretty())
-    # a found bug gates shell pipelines: 1 = positive difference
-    return 1 if result.found_bug else 0
+        profile, _ = _resolve_run(session, args)
+        result = session.test(
+            litmus,
+            profile,
+            source_model=args.cmem,
+            budget=Budget(deadline_seconds=args.timeout),
+        )
+        print(result.comparison.pretty())
+        # a found bug gates shell pipelines: 1 = positive difference
+        return 1 if result.found_bug else 0
 
 
 def _is_path(spec: str) -> bool:
@@ -171,23 +175,23 @@ def _resolve_test_arg(session: Session, spec: str):
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Print each tool-chain stage's artifact for one test."""
-    session = Session()
-    litmus = _resolve_test_arg(session, args.test)
-    profile, other = _resolve_run(session, args, args.diff)
-    from ..herd.enumerate import Budget
+    with Session() as session:
+        litmus = _resolve_test_arg(session, args.test)
+        profile, other = _resolve_run(session, args, args.diff)
+        from ..herd.enumerate import Budget
 
-    trace = session.explain(
-        litmus,
-        profile,
-        differential_with=other,
-        source_model=args.cmem,
-        optimise=not args.no_optimise,
-        budget=Budget(deadline_seconds=args.timeout),
-    )
-    print(trace.render())
-    verdict = trace.result.verdict
-    print(f"verdict: {verdict}")
-    return 1 if verdict == "positive" else 0
+        trace = session.explain(
+            litmus,
+            profile,
+            differential_with=other,
+            source_model=args.cmem,
+            optimise=not args.no_optimise,
+            budget=Budget(deadline_seconds=args.timeout),
+        )
+        print(trace.render())
+        verdict = trace.result.verdict
+        print(f"verdict: {verdict}")
+        return 1 if verdict == "positive" else 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -220,45 +224,46 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         profiles=tuple(args.differential) if differential else None,
     )
     store = CampaignStore(args.store) if args.store else None
-    session = Session(store=store)
+    with Session(store=store) as session:
 
-    if args.progress is None:
-        progress = sys.stderr.isatty() and not args.json
-    else:
-        progress = args.progress
+        if args.progress is None:
+            progress = sys.stderr.isatty() and not args.json
+        else:
+            progress = args.progress
 
-    stream = session.campaign(plan)
-    cells_total = 0
-    done = 0
-    for event in stream:
-        if args.json:
-            print(json.dumps(event.as_dict(), sort_keys=True))
-        if isinstance(event, CellFinished):
-            done += 1
-            if progress:
-                origin = " (store)" if event.from_store else ""
+        stream = session.campaign(plan)
+        cells_total = 0
+        done = 0
+        for event in stream:
+            if args.json:
+                print(json.dumps(event.as_dict(), sort_keys=True))
+            if isinstance(event, CellFinished):
+                done += 1
+                if progress:
+                    origin = " (store)" if event.from_store else ""
+                    print(
+                        f"[{done}/{cells_total or '?'}] {event.test} "
+                        f"{event.arch} {event.opt} {event.compiler}: "
+                        f"{event.verdict or event.status}{origin}",
+                        file=sys.stderr,
+                    )
+            elif progress and hasattr(event, "cells_total"):
+                cells_total = event.cells_total
                 print(
-                    f"[{done}/{cells_total or '?'}] {event.test} "
-                    f"{event.arch} {event.opt} {event.compiler}: "
-                    f"{event.verdict or event.status}{origin}",
+                    f"campaign: {event.tests_input} tests, "
+                    f"{event.cells_total} cells ({event.pending} to run)",
                     file=sys.stderr,
                 )
-        elif progress and hasattr(event, "cells_total"):
-            cells_total = event.cells_total
-            print(
-                f"campaign: {event.tests_input} tests, "
-                f"{event.cells_total} cells ({event.pending} to run)",
-                file=sys.stderr,
-            )
-    report = stream.report()
-    if not args.json:
-        print(report.table())
-        if store is not None:
-            print(
-                f"\nstore {store.path}: {len(store)} verdicts "
-                f"({report.store_hits} replayed, {store.appended} appended)"
-            )
-    return 0
+        report = stream.report()
+        if not args.json:
+            print(report.table())
+            if store is not None:
+                print(
+                    f"\nstore {store.path}: {len(store)} verdicts "
+                    f"({report.store_hits} replayed, "
+                    f"{store.appended} appended)"
+                )
+        return 0
 
 
 def _cmd_farm_gen(args: argparse.Namespace) -> int:
@@ -289,67 +294,70 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
     from .farm import FarmError
 
     store = CampaignStore(args.store) if args.store else None
-    session = Session(store=store)
-    if args.progress is None:
-        progress = sys.stderr.isatty() and not args.json
-    else:
-        progress = args.progress
+    with Session(store=store) as session:
+        if args.progress is None:
+            progress = sys.stderr.isatty() and not args.json
+        else:
+            progress = args.progress
 
-    drift = 0
-    reports: List[str] = []
-    try:
-        plan = FarmPlan(
-            root=args.root,
-            suites=tuple(args.suites) if args.suites else None,
-            profiles=tuple(args.profiles) if args.profiles else None,
-            source_model=args.cmem,
-            processes=args.processes,
-            bless=bless,
-        )
-        for event in session.farm(plan):
-            if args.json:
-                print(json.dumps(event.as_dict(), sort_keys=True))
-            if isinstance(event, FarmStarted):
-                if progress:
-                    print(
-                        f"farm {event.root}: {len(event.suites)} suite(s), "
-                        f"{event.baselines} baseline cell(s), "
-                        f"{event.tests_total} tests",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, CellFinished):
-                if progress:
-                    origin = " (store)" if event.from_store else ""
-                    print(
-                        f"  {event.test} {event.arch} {event.opt} "
-                        f"{event.compiler}: "
-                        f"{event.verdict or event.status}{origin}",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, SuiteFinished):
-                reports.append(event.report)
-                if progress:
-                    state = "blessed" if event.blessed else (
-                        f"{event.drift} drifting" if event.drift else "clean"
-                    )
-                    print(
-                        f"{event.suite} @ {event.profile} [{event.model}]: "
-                        f"{event.records} records, {state}",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, FarmFinished):
-                drift = event.drift
-    except FarmError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not args.json:
-        for report in reports:
-            print(report)
-    if bless:
-        return 0
-    # unblessed drift gates CI: any divergence from the baselines is a
-    # regression until someone re-blesses it deliberately
-    return 1 if drift else 0
+        drift = 0
+        reports: List[str] = []
+        try:
+            plan = FarmPlan(
+                root=args.root,
+                suites=tuple(args.suites) if args.suites else None,
+                profiles=tuple(args.profiles) if args.profiles else None,
+                source_model=args.cmem,
+                processes=args.processes,
+                bless=bless,
+            )
+            for event in session.farm(plan):
+                if args.json:
+                    print(json.dumps(event.as_dict(), sort_keys=True))
+                if isinstance(event, FarmStarted):
+                    if progress:
+                        print(
+                            f"farm {event.root}: "
+                            f"{len(event.suites)} suite(s), "
+                            f"{event.baselines} baseline cell(s), "
+                            f"{event.tests_total} tests",
+                            file=sys.stderr,
+                        )
+                elif isinstance(event, CellFinished):
+                    if progress:
+                        origin = " (store)" if event.from_store else ""
+                        print(
+                            f"  {event.test} {event.arch} {event.opt} "
+                            f"{event.compiler}: "
+                            f"{event.verdict or event.status}{origin}",
+                            file=sys.stderr,
+                        )
+                elif isinstance(event, SuiteFinished):
+                    reports.append(event.report)
+                    if progress:
+                        state = "blessed" if event.blessed else (
+                            f"{event.drift} drifting" if event.drift
+                            else "clean"
+                        )
+                        print(
+                            f"{event.suite} @ {event.profile} "
+                            f"[{event.model}]: "
+                            f"{event.records} records, {state}",
+                            file=sys.stderr,
+                        )
+                elif isinstance(event, FarmFinished):
+                    drift = event.drift
+        except FarmError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        if not args.json:
+            for report in reports:
+                print(report)
+        if bless:
+            return 0
+        # unblessed drift gates CI: any divergence from the baselines is a
+        # regression until someone re-blesses it deliberately
+        return 1 if drift else 0
 
 
 def _cmd_farm_run(args: argparse.Namespace) -> int:
@@ -363,7 +371,6 @@ def _cmd_farm_bless(args: argparse.Namespace) -> int:
 def _cmd_farm_diff(args: argparse.Namespace) -> int:
     """Offline drift diff between two baseline/store JSONL files."""
     from ..tools.mcompare import diff_baselines
-    from ..tools.sources import SuiteFormatError
     from .farm import read_baseline
 
     try:
@@ -402,129 +409,132 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         print("--resume needs --store", file=sys.stderr)
         return 2
     store = CampaignStore(args.store) if args.store else None
-    session = Session(store=store)
-    seeds = _resolve_seeds(session, args.seeds)
-    plan = CampaignPlan(
-        mode="hunt",
-        tests=tuple(seeds),
-        arches=tuple(args.arch) if args.arch else ("aarch64",),
-        opts=tuple(args.opt) if args.opt else ("-O2",),
-        source_model=args.cmem,
-        processes=args.processes,
-        resume=args.resume,
-        mutations=tuple(args.operators) if args.operators else None,
-        mutation_rounds=args.rounds,
-        mutation_limit=args.limit,
-        reduce=not args.no_reduce,
-    )
+    with Session(store=store) as session:
+        seeds = _resolve_seeds(session, args.seeds)
+        plan = CampaignPlan(
+            mode="hunt",
+            tests=tuple(seeds),
+            arches=tuple(args.arch) if args.arch else ("aarch64",),
+            opts=tuple(args.opt) if args.opt else ("-O2",),
+            source_model=args.cmem,
+            processes=args.processes,
+            resume=args.resume,
+            mutations=tuple(args.operators) if args.operators else None,
+            mutation_rounds=args.rounds,
+            mutation_limit=args.limit,
+            reduce=not args.no_reduce,
+        )
 
-    if args.progress is None:
-        progress = sys.stderr.isatty() and not args.json
-    else:
-        progress = args.progress
+        if args.progress is None:
+            progress = sys.stderr.isatty() and not args.json
+        else:
+            progress = args.progress
 
-    positives = []  # CellFinished events, first per digest
-    seen_positive = set()
-    reductions = []  # TestReduced events
-    for event in session.hunt(plan):
-        if args.json:
-            print(json.dumps(event.as_dict(), sort_keys=True))
-        if isinstance(event, CellFinished):
-            if event.verdict == "positive" and event.digest not in seen_positive:
-                seen_positive.add(event.digest)
-                positives.append(event)
-            if progress:
-                print(
-                    f"  {event.test} {event.arch} {event.opt} "
-                    f"{event.compiler}: {event.verdict or event.status}",
-                    file=sys.stderr,
-                )
-        elif isinstance(event, HuntProgress):
-            if progress:
-                print(
-                    f"round {event.round_index}: {event.cells} cells, "
-                    f"{event.positives} positive tests so far, "
-                    f"{event.scheduled} mutants scheduled",
-                    file=sys.stderr,
-                )
-        elif isinstance(event, TestReduced):
-            reductions.append(event)
-            if progress:
-                print(
-                    f"reduced {event.test}: {event.original_statements} -> "
-                    f"{event.reduced_statements} statements "
-                    f"({event.steps} steps, {event.checks} checks)",
-                    file=sys.stderr,
-                )
+        positives = []  # CellFinished events, first per digest
+        seen_positive = set()
+        reductions = []  # TestReduced events
+        for event in session.hunt(plan):
+            if args.json:
+                print(json.dumps(event.as_dict(), sort_keys=True))
+            if isinstance(event, CellFinished):
+                if (event.verdict == "positive"
+                        and event.digest not in seen_positive):
+                    seen_positive.add(event.digest)
+                    positives.append(event)
+                if progress:
+                    print(
+                        f"  {event.test} {event.arch} {event.opt} "
+                        f"{event.compiler}: {event.verdict or event.status}",
+                        file=sys.stderr,
+                    )
+            elif isinstance(event, HuntProgress):
+                if progress:
+                    print(
+                        f"round {event.round_index}: {event.cells} cells, "
+                        f"{event.positives} positive tests so far, "
+                        f"{event.scheduled} mutants scheduled",
+                        file=sys.stderr,
+                    )
+            elif isinstance(event, TestReduced):
+                reductions.append(event)
+                if progress:
+                    print(
+                        f"reduced {event.test}: "
+                        f"{event.original_statements} -> "
+                        f"{event.reduced_statements} statements "
+                        f"({event.steps} steps, {event.checks} checks)",
+                        file=sys.stderr,
+                    )
 
-    if not args.json:
-        if not positives:
-            print("hunt found no positives")
-        for event in positives:
-            record = event.record
-            lineage = ""
-            if record.get("operator"):
-                lineage = (
-                    f"  [{record['operator']} @ {record.get('site', '?')}, "
-                    f"depth {record.get('depth', '?')}]"
+        if not args.json:
+            if not positives:
+                print("hunt found no positives")
+            for event in positives:
+                record = event.record
+                lineage = ""
+                if record.get("operator"):
+                    lineage = (
+                        f"  [{record['operator']} @ "
+                        f"{record.get('site', '?')}, "
+                        f"depth {record.get('depth', '?')}]"
+                    )
+                print(
+                    f"positive: {event.test} ({event.arch} {event.opt} "
+                    f"{event.compiler}){lineage}"
                 )
-            print(
-                f"positive: {event.test} ({event.arch} {event.opt} "
-                f"{event.compiler}){lineage}"
-            )
-        for event in reductions:
-            print(
-                f"\nminimal reproducer for {event.test} "
-                f"({event.original_statements} -> "
-                f"{event.reduced_statements} statements):"
-            )
-            source = event.record.get("source")
-            if source:
-                print("  " + str(source).rstrip().replace("\n", "\n  "))
-        if store is not None:
-            print(
-                f"\nstore {store.path}: {len(store)} verdicts "
-                f"({store.appended} appended)"
-            )
-    # exit 0 when the hunt found something — the scripted analogue of
-    # `telechat test`'s exit-1-on-positive, inverted: a hunt that comes
-    # back empty-handed is the failure case
-    return 0 if positives else 1
+            for event in reductions:
+                print(
+                    f"\nminimal reproducer for {event.test} "
+                    f"({event.original_statements} -> "
+                    f"{event.reduced_statements} statements):"
+                )
+                source = event.record.get("source")
+                if source:
+                    print("  " + str(source).rstrip().replace("\n", "\n  "))
+            if store is not None:
+                print(
+                    f"\nstore {store.path}: {len(store)} verdicts "
+                    f"({store.appended} appended)"
+                )
+        # exit 0 when the hunt found something — the scripted analogue of
+        # `telechat test`'s exit-1-on-positive, inverted: a hunt that comes
+        # back empty-handed is the failure case
+        return 0 if positives else 1
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     from ..herd.enumerate import Budget
     from ..lang.printer import print_c_litmus
 
-    session = Session()
-    litmus = _resolve_test_arg(session, args.test)
-    profile, _ = _resolve_run(session, args)
-    result = session.test(litmus, profile, source_model=args.cmem)
-    if result.verdict != "positive":
-        print(
-            f"{litmus.name}: verdict {result.verdict} under "
-            f"{profile.name} — nothing to reduce "
-            f"(the reducer keeps a positive verdict positive)",
-            file=sys.stderr,
+    with Session() as session:
+        litmus = _resolve_test_arg(session, args.test)
+        profile, _ = _resolve_run(session, args)
+        result = session.test(litmus, profile, source_model=args.cmem)
+        if result.verdict != "positive":
+            print(
+                f"{litmus.name}: verdict {result.verdict} under "
+                f"{profile.name} — nothing to reduce "
+                f"(the reducer keeps a positive verdict positive)",
+                file=sys.stderr,
+            )
+            return 2
+        reduction = session.reduce(
+            litmus,
+            profile,
+            source_model=args.cmem,
+            # one deadline for the whole reduction (measured from first use)
+            budget=Budget(deadline_seconds=args.timeout),
         )
-        return 2
-    reduction = session.reduce(
-        litmus,
-        profile,
-        source_model=args.cmem,
-        # one deadline for the whole reduction (measured from first use)
-        budget=Budget(deadline_seconds=args.timeout),
-    )
-    print(
-        f"{litmus.name}: {reduction.original_statements} -> "
-        f"{reduction.reduced_statements} statements in "
-        f"{len(reduction.steps)} steps ({reduction.checks} checks)"
-    )
-    for step in reduction.steps:
-        print(f"  {step.action}: {step.detail}")
-    print()
-    print(print_c_litmus(reduction.reduced))
-    return 0
+        print(
+            f"{litmus.name}: {reduction.original_statements} -> "
+            f"{reduction.reduced_statements} statements in "
+            f"{len(reduction.steps)} steps ({reduction.checks} checks)"
+        )
+        for step in reduction.steps:
+            print(f"  {step.action}: {step.detail}")
+        print()
+        print(print_c_litmus(reduction.reduced))
+        return 0
 
 
 def _lint_target(session: Session, spec: str):
@@ -577,26 +587,26 @@ def _lint_corpus(session: Session) -> list:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Static analysis over models and tests (exit 1 on errors)."""
-    session = Session()
-    if args.targets:
-        reports = [_lint_target(session, spec) for spec in args.targets]
-    else:
-        reports = _lint_corpus(session)
-    errors = sum(len(r.errors) for r in reports)
-    warnings = sum(len(r.warnings) for r in reports)
-    if args.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
-    else:
-        for report in reports:
-            for d in report.diagnostics:
-                print(d.render(report.target))
-        print(
-            f"{len(reports)} target(s) linted: {errors} error(s), "
-            f"{warnings} warning(s)"
-        )
-    if errors or (args.strict and warnings):
-        return 1
-    return 0
+    with Session() as session:
+        if args.targets:
+            reports = [_lint_target(session, spec) for spec in args.targets]
+        else:
+            reports = _lint_corpus(session)
+        errors = sum(len(r.errors) for r in reports)
+        warnings = sum(len(r.warnings) for r in reports)
+        if args.json:
+            print(json.dumps([r.as_dict() for r in reports], indent=2))
+        else:
+            for report in reports:
+                for d in report.diagnostics:
+                    print(d.render(report.target))
+            print(
+                f"{len(reports)} target(s) linted: {errors} error(s), "
+                f"{warnings} warning(s)"
+            )
+        if errors or (args.strict and warnings):
+            return 1
+        return 0
 
 
 def _print_inventory(args: argparse.Namespace, registry) -> int:
@@ -909,9 +919,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # uniform file:line:col rendering for bad input files
         print(exc.render(), file=sys.stderr)
         return 2
-    except (LintError, PlanError) as exc:
+    except (LintError, PlanError, SuiteFormatError) as exc:
         # a plan that fails validation (bad --processes, an unknown
-        # --cmem, ...) is bad input too
+        # --cmem, ...) or a corrupt --store is bad input too
         print(str(exc), file=sys.stderr)
         return 2
     except OSError as exc:

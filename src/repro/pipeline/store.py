@@ -22,6 +22,8 @@ import os
 import threading
 from typing import Dict, Iterator, List, Optional, Union
 
+from ..tools.sources import iter_jsonl
+
 #: bump when the record layout changes incompatibly; loaders skip records
 #: from other schemas instead of mis-replaying them.
 STORE_SCHEMA = 1
@@ -62,7 +64,8 @@ class CampaignStore:
     so re-recording a cell simply supersedes the old verdict.  A torn
     final line (crashed writer) is cut off when the store opens — counted
     in ``skipped``, never appended onto — so the next :meth:`put` starts
-    a fresh line and no stored verdict is lost to the fragment.  Appends
+    a fresh line and no stored verdict is lost to the fragment; a
+    malformed line anywhere else refuses to load.  Appends
     are thread-safe; cross-process writers should use one store file per
     shard and merge reports, not share a file.
     """
@@ -102,24 +105,18 @@ class CampaignStore:
                 handle.write(b"\n")
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self.skipped += 1
-                    continue
-                if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:
-                    self.skipped += 1
-                    continue
-                if any(field not in record for field in KEY_FIELDS):
-                    self.skipped += 1
-                    continue
-                self._records[record_key(record)] = record
-                self.loaded += 1
+        """Replay the log.  A malformed line (the tail is repaired by
+        now) is a corrupt store, not a missing verdict: it raises
+        :class:`~repro.tools.sources.SuiteFormatError` naming
+        ``path:line``.  Records of another schema are skipped."""
+        for _, record in iter_jsonl(self.path):
+            if record.get("schema") != STORE_SCHEMA or any(
+                field not in record for field in KEY_FIELDS
+            ):
+                self.skipped += 1
+                continue
+            self._records[record_key(record)] = record
+            self.loaded += 1
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

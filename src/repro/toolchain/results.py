@@ -1,11 +1,10 @@
 """Result records of the two tool-chain compositions.
 
-:class:`TelechatResult` (one test_tv run: source vs compiled) moved here
-from :mod:`repro.pipeline.telechat` when the chain was decomposed into
-stages — the pipeline module re-exports it, so existing imports keep
-working.  :class:`DifferentialResult` is its §IV-D sibling: two
-compilations of the same source compared against each other, with the
-C source optionally simulated as an undefined-behaviour oracle.
+:class:`TelechatResult` is one test_tv run (source vs compiled; paper
+Fig. 5); ``repro.pipeline`` re-exports it.  :class:`DifferentialResult`
+is its §IV-D sibling: two compilations of the same source compared
+against each other, with the C source optionally simulated as an
+undefined-behaviour oracle.
 
 Both carry ``artifacts`` — the ``{stage: key}`` map into the toolchain's
 content-addressed cache — and both serialise to the JSON-able verdict

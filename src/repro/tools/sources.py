@@ -52,7 +52,7 @@ from .mutate import DEFAULT_OPERATORS, iter_mutants
 
 
 class SuiteFormatError(ReproError, ValueError):
-    """A malformed line in a JSONL suite or baseline file.
+    """A malformed line in a JSONL suite, baseline or store file.
 
     Carries the offending file and 1-based line number — a corpus
     problem must name where to look, never surface as a bare
@@ -78,7 +78,9 @@ def iter_jsonl(
     crash-tolerance contract: a torn *final* line (a crashed writer's
     partial append) is silently skipped, while a malformed line anywhere
     else — invalid JSON or a non-object — raises
-    :class:`SuiteFormatError` naming the file and line.
+    :class:`SuiteFormatError` naming the file and line.  (The store cuts
+    its torn tail off before reading, so for it every malformed line
+    raises.)
     """
     fspath = os.fspath(path)
     #: a decode failure held back until we know whether it was the file's
@@ -103,7 +105,7 @@ def iter_jsonl(
                 )
             yield lineno, record
     # a pending failure on the final line is a torn trailing write —
-    # ignored, exactly like CampaignStore._load
+    # ignored
 
 
 class TestSource:

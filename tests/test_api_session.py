@@ -15,13 +15,12 @@ from repro.api import (
     PlanError,
     Session,
     ShardMerged,
-    engine,
     fold_events,
 )
 from repro.cat.registry import MODELS, get_source
 from repro.papertests import all_tests, fig1_exchange, fig7_lb
 from repro.pipeline.store import CampaignStore
-from repro.toolchain import stages
+from repro.toolchain import Toolchain, stages
 from repro.tools.mcompare import baseline_view
 from repro.tools.diy import DiyConfig, build_test, get_shape
 
@@ -179,14 +178,15 @@ class TestEventStream:
             pytest.skip("counting worker calls needs forked workers")
         calls = tmp_path / "calls"
         calls.write_text("")
-        real = engine.run_test_tv
+        real = Toolchain.run_tv
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             with open(calls, "a") as handle:
                 handle.write("x")
-            return real(*args, **kwargs)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "run_test_tv", counting)
+        # before the session's first pool run: workers fork then
+        monkeypatch.setattr(Toolchain, "run_tv", counting)
         session = Session(store=CampaignStore(tmp_path / "s.jsonl"))
         plan = replace(PLAN, processes=2)
         started = None

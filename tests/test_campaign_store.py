@@ -4,10 +4,16 @@ strictness)."""
 
 import json
 import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.api import CampaignPlan, Session, engine
+from repro.api import CampaignPlan, CellFinished, HuntProgress, Session
 from repro.lang.parser import parse_c_litmus
 from repro.lang.printer import print_c_litmus
 from repro.pipeline import campaign as campaign_module
@@ -16,7 +22,8 @@ from repro.pipeline.campaign import (
     merge_reports,
 )
 from repro.pipeline.store import STORE_SCHEMA, CampaignStore, cell_key, record_key
-from repro.pipeline.telechat import (
+from repro.toolchain import Toolchain
+from repro.toolchain.results import (
     comparison_from_record,
     outcomes_from_jsonable,
     outcomes_to_jsonable,
@@ -27,6 +34,8 @@ CONFIG = DiyConfig(
     shapes=("LB",), orders=("rlx",), fences=(None,),
     deps=("po", "ctrl2"), variants=("load-store",),
 )
+
+CORPUS = Path(__file__).parent / "corpus"
 
 ARCHES = ("aarch64", "x86_64")
 OPTS = ("-O1", "-O2")
@@ -48,9 +57,24 @@ def small_run(**kwargs):
 
 
 def needs_fork():
-    """Patches reach pool workers only when they fork from this process."""
+    """Patches reach pool workers only when they fork from this process
+    (and only when applied before the session opens its pool)."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("patching worker behaviour needs forked workers")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool opened while the test runs."""
+    opened = []
+    real_pool = campaign_module.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        opened.append(real_pool(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", counting_pool)
+    return opened
 
 
 # --------------------------------------------------------------------------- #
@@ -156,29 +180,107 @@ class TestCellVerdicts:
 # pool lifecycle
 # --------------------------------------------------------------------------- #
 class TestPoolLifecycle:
-    def test_process_pool_shut_down_on_unexpected_exception(
-        self, monkeypatch
+    """One worker pool per session and process count (see Session)."""
+
+    def test_farm_pass_opens_one_pool(self, pools):
+        from repro.api import FarmFinished, FarmPlan
+
+        with Session() as session:
+            events = list(session.farm(
+                FarmPlan(root=str(CORPUS), processes=2)
+            ))
+        finished = events[-1]
+        assert isinstance(finished, FarmFinished)
+        assert finished.drift == 0 and finished.baselines > 1
+        assert len(pools) == 1
+
+    def test_hunt_rounds_share_one_pool(self, pools):
+        from repro.hunt import fig1_masked
+
+        with Session() as session:
+            events = list(session.hunt(
+                [fig1_masked()], arches=("aarch64",), opts=("-O2",),
+                compilers=("llvm",), mutation_rounds=1, reduce=False,
+                processes=2,
+            ))
+        rounds = [e for e in events if isinstance(e, HuntProgress)]
+        assert len(rounds) == 2 and rounds[1].cells > 0
+        assert len(pools) == 1
+
+    def test_campaigns_share_a_pool_until_processes_change(self, pools):
+        with Session() as session:
+            first = small_run(session=session, processes=2)
+            again = small_run(session=session, processes=2)
+            assert len(pools) == 1
+            assert again.to_jsonable()["cells"] == first.to_jsonable()["cells"]
+            single = small_run(session=session, processes=1)
+            assert len(pools) == 2
+            assert pools[0]._shutdown_thread  # the 2-worker pool closed
+            assert single.compiled_tests == first.compiled_tests
+
+    def test_pool_serves_the_next_campaign_after_a_cell_raises(
+        self, pools, monkeypatch
     ):
         needs_fork()
-        pools = []
-        real_pool = campaign_module.ProcessPoolExecutor
+        real = Toolchain.run_tv
 
-        def tracking_pool(*args, **kwargs):
-            pool = real_pool(*args, **kwargs)
-            pools.append(pool)
-            return pool
+        def explode_for_gcc(self, litmus, profile, **kwargs):
+            if profile.compiler == "gcc":
+                raise RuntimeError("not a simulation failure")
+            return real(self, litmus, profile, **kwargs)
 
-        def explode(*args, **kwargs):
-            raise RuntimeError("not a simulation failure")
-
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor",
-                            tracking_pool)
-        monkeypatch.setattr(engine, "run_test_tv", explode)
-        with pytest.raises(RuntimeError, match="not a simulation failure"):
-            run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
-                         compilers=("llvm",), processes=2)
+        monkeypatch.setattr(Toolchain, "run_tv", explode_for_gcc)
+        with Session() as session:
+            with pytest.raises(RuntimeError, match="not a simulation"):
+                small_run(session=session, processes=2)
+            report = run_plan(session=session, config=CONFIG, arches=ARCHES,
+                              opts=OPTS, compilers=("llvm",), processes=2)
         assert len(pools) == 1
-        assert pools[0]._shutdown_thread  # workers released, not leaked
+        assert report.compiled_tests == 2 * len(ARCHES) * len(OPTS)
+
+    def test_with_block_leaves_no_worker_processes(self):
+        # pools of other tests' collected sessions may still be exiting
+        before = set(multiprocessing.active_children())
+        with Session() as session:
+            small_run(session=session, processes=2)
+            assert set(multiprocessing.active_children()) - before
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_killed_worker_breaks_the_campaign_not_the_session(
+        self, tmp_path, pools
+    ):
+        """A SIGKILLed worker fails the campaign after every landed
+        record is stored; the session drops the broken pool, and a
+        resumed run opens one new pool and completes the store."""
+        from repro.papertests import all_tests
+
+        path = tmp_path / "campaign.jsonl"
+        plan = CampaignPlan(tests=tuple(all_tests()), arches=ARCHES,
+                            opts=OPTS, compilers=COMPILERS, processes=2)
+        landed = []
+        with Session(store=path) as session:
+            with pytest.raises(BrokenProcessPool):
+                for event in session.campaign(plan):
+                    if not isinstance(event, CellFinished):
+                        continue
+                    landed.append(event)
+                    if len(landed) == 1:
+                        pool = pools[0]
+                        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+                        deadline = time.monotonic() + 30
+                        while not pool._broken:
+                            assert time.monotonic() < deadline
+                            time.sleep(0.01)
+            assert len(landed) == session.store.appended
+            assert len(CampaignStore(path)) == len(landed)
+
+            resumed = session.run(replace(plan, resume=True))
+            assert len(pools) == 2
+            assert session.process_pool(2) is pools[1]
+        cells_total = sum(c.total for c in resumed.cells.values())
+        assert resumed.store_hits == len(landed) < cells_total
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(CampaignStore(path)) == cells_total
 
 
 # --------------------------------------------------------------------------- #
@@ -286,6 +388,31 @@ class TestStore:
         assert len(repaired) == intact and repaired.skipped == 0
         assert path.read_bytes().endswith(b"}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--small", "--arch", "aarch64", "--opt=-O2"],
+        ["hunt", "--seeds", "fig7_lb"],
+    ])
+    def test_corrupt_interior_line_is_an_input_error(
+        self, tmp_path, capsys, argv
+    ):
+        """A verdict log with an undecodable line before its last one is
+        corrupt: it names ``path:line`` instead of resuming as if those
+        cells had never run — and the CLI exits 2 with that one line."""
+        from repro.pipeline.cli import main
+        from repro.tools.sources import SuiteFormatError
+
+        path = tmp_path / "campaign.jsonl"
+        small_run(store=path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SuiteFormatError) as excinfo:
+            CampaignStore(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+        assert main(argv + ["--store", str(path), "--no-progress"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{path}:2: {excinfo.value.message}"]
+
     def test_foreign_schema_records_are_skipped(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
@@ -300,21 +427,21 @@ class TestStore:
         campaign resumes from every cell that finished."""
         path = tmp_path / "campaign.jsonl"
         calls = []
-        real = engine.run_test_tv
+        real = Toolchain.run_tv
 
-        def explode_on_third(*args, **kwargs):
+        def explode_on_third(self, *args, **kwargs):
             calls.append(1)
             if len(calls) >= 3:
                 raise RuntimeError("simulated crash")
-            return real(*args, **kwargs)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "run_test_tv", explode_on_third)
+        monkeypatch.setattr(Toolchain, "run_tv", explode_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path)
         survivors = CampaignStore(path)
         assert len(survivors) == 2  # the cells that finished before the crash
         # and a resumed run only re-simulates what the crash swallowed
-        monkeypatch.setattr(engine, "run_test_tv", real)
+        monkeypatch.setattr(Toolchain, "run_tv", real)
         resumed = small_run(store=path, resume=True)
         assert resumed.store_hits == 2
 
@@ -344,14 +471,15 @@ class TestStore:
         pool still ran to completion."""
         needs_fork()
         path = tmp_path / "campaign.jsonl"
-        real = engine.run_test_tv
+        real = Toolchain.run_tv
 
-        def explode_for_gcc(litmus, profile, **kwargs):
+        def explode_for_gcc(self, litmus, profile, **kwargs):
             if profile.compiler == "gcc":
                 raise RuntimeError("simulated crash")
-            return real(litmus, profile, **kwargs)
+            return real(self, litmus, profile, **kwargs)
 
-        monkeypatch.setattr(engine, "run_test_tv", explode_for_gcc)
+        # before the session's first pool run: workers fork then
+        monkeypatch.setattr(Toolchain, "run_tv", explode_for_gcc)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path, processes=2)
         survivors = CampaignStore(path)

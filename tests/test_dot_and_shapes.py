@@ -5,7 +5,7 @@ import pytest
 from repro.compiler import make_profile
 from repro.herd import execution_to_dot, simulate_c, simulation_to_dot
 from repro.papertests import fig1_exchange, fig7_lb
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 from repro.tools.diy import build_test, get_shape, shape_names
 
 
@@ -66,7 +66,7 @@ class TestExtendedShapes:
         strong = build_test(get_shape("ISA2"), "ar")
         assert not simulate_c(strong, "rc11").condition_holds(strong.condition)
         relaxed = build_test(get_shape("ISA2"), "rlx")
-        result = run_test_tv(relaxed, make_profile("llvm", "-O2", "ppc64"))
+        result = Toolchain().run_tv(relaxed, make_profile("llvm", "-O2", "ppc64"))
         # relaxed ISA2 compiled for PPC shows the stale read (MP family)
         assert result.verdict in ("positive", "equal")
 

@@ -8,6 +8,7 @@
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +30,9 @@ from repro.lang.semantics import elaborate
 from repro.papertests import fig7_lb, fig10_mp_rmw, fig11_lb3
 from repro.api import CampaignPlan, Session
 from repro.core.cache import KeyedCache
-from repro.pipeline.telechat import run_test_tv
+from repro.toolchain import Toolchain
 from repro.tools.diy import DiyConfig
+from repro.tools.sources import SuiteSource
 
 COWW = """
 C coww
@@ -84,6 +86,24 @@ class TestPruningSoundness:
         assert staged.outcomes == brute.outcomes
         assert staged.flags == brute.flags
         assert staged.stats.candidates <= brute.stats.candidates
+
+    def test_same_outcomes_over_the_whole_corpus_rc11(self):
+        """Every suite test of the farm corpus (222 tests) enumerates to
+        the same outcomes and flags staged as exhaustively."""
+        corpus = Path(__file__).parent / "corpus" / "suites"
+        tests = [
+            litmus for path in sorted(corpus.glob("*.jsonl"))
+            for litmus in SuiteSource(str(path))
+        ]
+        assert len(tests) == 222
+        mismatches = []
+        for litmus in tests:
+            staged = simulate_c(litmus, "rc11")
+            brute = simulate_c(litmus, "rc11", stages=exhaustive_stages())
+            if (staged.outcomes, staged.flags) != (brute.outcomes, brute.flags):
+                mismatches.append(litmus.name)
+            assert staged.stats.candidates <= brute.stats.candidates
+        assert mismatches == []
 
     @pytest.mark.parametrize("model", sorted(list_models()))
     def test_same_outcomes_under_every_model(self, model):
@@ -321,8 +341,8 @@ class TestCampaignCaches:
         litmus = fig7_lb()
         profile = make_profile("llvm", "-O3", "aarch64")
         source = simulate_c(prepare(litmus, augment=True), "rc11")
-        hoisted = run_test_tv(litmus, profile, source_result=source)
-        inline = run_test_tv(litmus, profile)
+        hoisted = Toolchain().run_tv(litmus, profile, source_result=source)
+        inline = Toolchain().run_tv(litmus, profile)
         assert hoisted.source_reused and not inline.source_reused
         assert hoisted.verdict == inline.verdict
         # a hoisted source simulation reports the *original* run's cost,

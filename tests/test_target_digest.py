@@ -223,8 +223,8 @@ class TestWorkerScope:
         for name in order:
             record, landed = engine._pool_cell((
                 lb_tests[name], profile.arch, profile.opt, profile.compiler,
-                plan.source_model, plan.augment, plan.budget_candidates,
-                None,
+                None, plan.source_model, plan.augment,
+                plan.budget_candidates, None,
             ))
             assert record["status"] == "ok" and record["test"] == name
             assert landed.test_name == name
@@ -244,7 +244,7 @@ class TestWorkerScope:
         plan = CampaignPlan(tests=[])
         task = (
             lb_tests["LB001"], profile.arch, profile.opt, profile.compiler,
-            plan.source_model, plan.augment, plan.budget_candidates,
+            None, plan.source_model, plan.augment, plan.budget_candidates,
         )
         first, landed = engine._pool_cell(task + (None,))
 

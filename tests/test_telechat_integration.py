@@ -19,11 +19,11 @@ from repro.papertests import (
     fig11_lb3,
     sb_sc,
 )
-from repro.pipeline import differential_outcomes, run_test_tv
+from repro.toolchain import Toolchain
 
 
 def verdict(litmus, profile, **kwargs):
-    return run_test_tv(litmus, profile, **kwargs).verdict
+    return Toolchain().run_tv(litmus, profile, **kwargs).verdict
 
 
 class TestFig7AcrossArchitectures:
@@ -56,7 +56,7 @@ class TestFig1ExchangeBug:
     def test_reported_epoch_buggy(self):
         """The paper reported [38] against current LLVM."""
         profile = make_profile("llvm", "-O2", "aarch64", version=16)
-        result = run_test_tv(fig1_exchange(), profile)
+        result = Toolchain().run_tv(fig1_exchange(), profile)
         assert result.found_bug
 
     def test_fixed_epoch_clean(self):
@@ -65,7 +65,7 @@ class TestFig1ExchangeBug:
 
     def test_bug_witness_is_paper_outcome(self):
         profile = make_profile("llvm", "-O2", "aarch64", version=16)
-        result = run_test_tv(fig1_exchange(), profile)
+        result = Toolchain().run_tv(fig1_exchange(), profile)
         witnesses = [o.as_dict() for o in result.comparison.positive]
         assert any(
             o.get("out_P1_r0") == 0 and o.get("y") == 2 for o in witnesses
@@ -115,12 +115,12 @@ exists (P1:r0=0 /\\ P1:r1=1 /\\ y=2)
 class TestFig9LocalVariableProblem:
     def test_unaugmented_masks_all_outcomes(self):
         profile = make_profile("llvm", "-O2", "aarch64")
-        result = run_test_tv(fig9_lb_plain(), profile, augment=False)
+        result = Toolchain().run_tv(fig9_lb_plain(), profile, augment=False)
         assert len(result.comparison.target_outcomes) == 1
 
     def test_augmentation_restores_observability(self):
         profile = make_profile("llvm", "-O2", "aarch64")
-        result = run_test_tv(fig9_lb_plain(), profile, augment=True)
+        result = Toolchain().run_tv(fig9_lb_plain(), profile, augment=True)
         assert len(result.comparison.target_outcomes) == 4
 
 
@@ -147,7 +147,7 @@ exists (P1:r0=1)
             "stp_endian",
         )
         buggy = make_profile("llvm", "-O2", "aarch64", version=16, v84=True)
-        result = run_test_tv(source, buggy)
+        result = Toolchain().run_tv(source, buggy)
         flipped = {o.as_dict().get("x") for o in result.comparison.positive}
         assert (1 << 64) in flipped  # the endian-swapped value
 
@@ -164,10 +164,10 @@ exists (P0:r0=5)
             "const_load",
         )
         v80 = make_profile("llvm", "-O2", "aarch64", version=16, v84=False)
-        result = run_test_tv(source, v80)
+        result = Toolchain().run_tv(source, v80)
         assert result.target_result.has_const_violation
         fixed = make_profile("llvm", "-O2", "aarch64", version=17, v84=True)
-        result_fixed = run_test_tv(source, fixed)
+        result_fixed = Toolchain().run_tv(source, fixed)
         assert not result_fixed.target_result.has_const_violation
 
 
@@ -244,7 +244,7 @@ class TestScalability:
     def test_fig11_optimised_terminates_quickly(self):
         """Claim 5: with s2l optimisation, milliseconds."""
         profile = make_profile("llvm", "-O0", "aarch64")
-        result = run_test_tv(
+        result = Toolchain().run_tv(
             fig11_lb3(), profile, budget=Budget(max_candidates=500_000)
         )
         assert result.target_seconds < 2.0
@@ -255,14 +255,14 @@ class TestDifferentialMode:
     def test_same_compiler_different_levels(self):
         a = make_profile("llvm", "-O1", "aarch64")
         b = make_profile("llvm", "-O3", "aarch64")
-        _, _, comparison = differential_outcomes(fig7_lb(), a, b)
-        assert comparison.verdict() == "equal"
+        result = Toolchain().run_differential(fig7_lb(), a, b)
+        assert result.comparison.verdict() == "equal"
 
     def test_cross_compiler(self):
         a = make_profile("llvm", "-O2", "aarch64")
         b = make_profile("gcc", "-O2", "aarch64")
-        _, _, comparison = differential_outcomes(fig7_lb(), a, b)
-        assert comparison.verdict() == "equal"
+        result = Toolchain().run_differential(fig7_lb(), a, b)
+        assert result.comparison.verdict() == "equal"
 
     def test_cross_arch_rejected(self):
         from repro.core.errors import ReproError
@@ -270,4 +270,4 @@ class TestDifferentialMode:
         a = make_profile("llvm", "-O2", "aarch64")
         b = make_profile("llvm", "-O2", "x86_64")
         with pytest.raises(ReproError):
-            differential_outcomes(fig7_lb(), a, b)
+            Toolchain().run_differential(fig7_lb(), a, b)

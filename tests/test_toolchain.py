@@ -22,7 +22,6 @@ from repro.compiler.profiles import make_profile, parse_profile
 from repro.core.errors import ReproError, SimulationTimeout
 from repro.papertests import fig7_lb
 from repro.pipeline.store import CampaignStore
-from repro.pipeline.telechat import differential_outcomes
 from repro.toolchain import (
     STAGES,
     CompareStage,
@@ -154,19 +153,17 @@ class TestDifferentialToolchain:
         assert diff.stats_a.total_removed > 0
         assert diff.stats_b.total_removed > 0
 
-    def test_differential_outcomes_exposes_s2l_controls(self):
-        """The legacy tuple API now threads optimise/unroll/source_model
-        through instead of silently dropping them."""
+    def test_run_differential_exposes_s2l_controls(self):
+        """Differential runs thread ``optimise`` through to s2l."""
         a = make_profile("llvm", "-O1", "aarch64")
         b = make_profile("llvm", "-O3", "aarch64")
-        opt_a, opt_b, _ = differential_outcomes(fig7_lb(), a, b)
-        raw_a, raw_b, _ = differential_outcomes(
-            fig7_lb(), a, b, optimise=False
-        )
+        opt = Toolchain().run_differential(fig7_lb(), a, b)
+        raw = Toolchain().run_differential(fig7_lb(), a, b, optimise=False)
         # the outcome sets agree (s2l soundness) even though the raw
         # tests carry GOT/stack traffic the optimised ones dropped
-        assert opt_a.outcomes == raw_a.outcomes
-        assert opt_b.outcomes == raw_b.outcomes
+        assert opt.result_a.outcomes == raw.result_a.outcomes
+        assert opt.result_b.outcomes == raw.result_b.outcomes
+        assert opt.stats_a.total_removed > raw.stats_a.total_removed
 
     def test_differential_requires_common_architecture(self):
         chain = Toolchain()
@@ -448,7 +445,7 @@ class TestSessionToolchain:
 
     def test_record_round_trip_differential(self):
         """Differential records rebuild through comparison_from_record."""
-        from repro.pipeline.telechat import comparison_from_record
+        from repro.toolchain.results import comparison_from_record
 
         session = Session()
         result = session.differential(fig7_lb(), PROFILE_A, PROFILE_B)
