@@ -7,8 +7,9 @@ PYTHON ?= python
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
+# the only target that rewrites the BENCH_*.json trajectory files
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q -s
+	REPRO_BENCH_WRITE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q -s
 
 # static analysis: the catlint/litmuslint sweep over every in-tree
 # model, paper test and hunt seed always runs; ruff and mypy run when

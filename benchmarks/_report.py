@@ -10,6 +10,13 @@ vanishes, where the crossovers fall — is the reproduction target.
 from __future__ import annotations
 
 import json
+import os
+
+#: set (to anything but "" or "0") by ``make bench``; without it the
+#: benchmarks still run and assert, but leave the committed
+#: ``BENCH_*.json`` trajectory files untouched, so a tier-1 ``pytest``
+#: run keeps the work tree clean
+WRITE_SWITCH = "REPRO_BENCH_WRITE"
 
 
 def merge_json_report(path, updates: dict) -> None:
@@ -17,8 +24,10 @@ def merge_json_report(path, updates: dict) -> None:
 
     Several benchmarks contribute sections to one report; merging (with
     an unreadable file treated as empty) keeps them from clobbering each
-    other's keys.
+    other's keys.  Writes only when :data:`WRITE_SWITCH` is set.
     """
+    if os.environ.get(WRITE_SWITCH, "") in ("", "0"):
+        return
     merged = {}
     if path.exists():
         try:

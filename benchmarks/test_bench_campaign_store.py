@@ -8,7 +8,7 @@ Two comparisons against the serial cold run of one Table IV slice:
 * **process pool** — the ``ProcessPoolExecutor`` backend sidesteps the
   GIL; this is the row that lets campaigns scale with cores.
 
-The numbers merge into ``BENCH_solver_speedup.json`` next to the solver
+Under ``make bench`` the numbers merge into ``BENCH_solver_speedup.json`` next to the solver
 engine's trajectory so one file tracks the hot path across PRs.
 """
 

@@ -6,7 +6,7 @@ traffic), the s2l-optimised test, and the three-thread source test.  For
 each configuration both engines run — :func:`exhaustive_stages` (the
 seed's brute-force behaviour) and the default staged pipeline — and the
 prune counters, candidate counts and wall-clock go into
-``BENCH_solver_speedup.json`` at the repo root so the perf trajectory
+``BENCH_solver_speedup.json`` at the repo root (under ``make bench``) so the perf trajectory
 captures the refactor's effect across PRs.
 
 Soundness is asserted throughout: pruning must never change an outcome

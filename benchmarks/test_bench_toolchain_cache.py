@@ -7,7 +7,7 @@ under content addresses, so a model sweep (the paper's Claim 4 re-run:
 the oracle simulations and compares re-run.  This benchmark measures
 exactly that: a 2-profile differential campaign over a diy suite, run
 cold under one model and warm under a second, with the per-stage
-hit/miss counters and wall-clock written into
+hit/miss counters and wall-clock written (under ``make bench``) into
 ``BENCH_solver_speedup.json`` so the trajectory tracks the effect across
 PRs.
 

@@ -408,6 +408,7 @@ class _CellContext:
             pending=pending,
             processes=self.plan.processes,
             shard=self.plan.shard,
+            store_skipped=self.store.skipped if self.store is not None else 0,
         )
 
     def finished(self) -> CampaignFinished:

@@ -51,6 +51,9 @@ class CampaignStarted(CampaignEvent):
     #: worker processes (0 = serial)
     processes: int = 0
     shard: Optional[Tuple[int, int]] = None
+    #: store lines not replayed when the store opened: records of another
+    #: schema and a torn final line (``CampaignStore.skipped``)
+    store_skipped: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -61,6 +64,7 @@ class CampaignStarted(CampaignEvent):
             "pending": self.pending,
             "processes": self.processes,
             "shard": list(self.shard) if self.shard else None,
+            "store_skipped": self.store_skipped,
         }
 
 

@@ -147,7 +147,7 @@ class AArch64(Isa):
     # ------------------------------------------------------------------ #
     # parsing
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
+    def _parse_line(self, text: str) -> Instruction:
         text = text.strip()
         if text.endswith(":"):
             return Instruction(op=Op.LABEL, label=text[:-1], text=text)

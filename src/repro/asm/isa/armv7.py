@@ -84,7 +84,7 @@ class Armv7(Isa):
         raise IsaError(f"cannot print {instr!r} for armv7")
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
+    def _parse_line(self, text: str) -> Instruction:
         text = text.strip()
         if text.endswith(":"):
             return Instruction(op=Op.LABEL, label=text[:-1], text=text)

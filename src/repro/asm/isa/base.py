@@ -13,9 +13,10 @@ into event tags by :mod:`repro.asm.semantics`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
+from ...core.frozen import frozen_copy
 from ...core.registry import Registry
 
 
@@ -85,7 +86,9 @@ class Instruction:
     text: str = ""
 
     def with_text(self, text: str) -> "Instruction":
-        return replace(self, text=text)
+        if text == self.text:
+            return self
+        return frozen_copy(self, text=text)
 
     @property
     def is_branch(self) -> bool:
@@ -119,6 +122,12 @@ class IsaError(ValueError):
     """An ISA module rejected a mnemonic or operand."""
 
 
+#: bound on each ISA's parse intern table (line text -> Instruction); a
+#: farm pass over the test corpus sees under 200 distinct lines, so the
+#: table is cleared, never grown past this, on pathological inputs
+INTERN_LIMIT = 4096
+
+
 class Isa:
     """Per-architecture syntax and register conventions.
 
@@ -138,14 +147,36 @@ class Isa:
     #: registers that carry the (up to 8) pointer arguments, in order.
     param_regs: Tuple[str, ...] = ()
 
+    def __init__(self) -> None:
+        #: parse_body's intern table; sharing parsed instructions is safe
+        #: because :class:`Instruction` is frozen
+        self._interned: Dict[str, Instruction] = {}
+
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
         """Render ``instr`` in this architecture's assembly syntax."""
         raise NotImplementedError
 
-    def parse_line(self, text: str) -> Instruction:
-        """Parse one line of this architecture's assembly syntax."""
+    def _parse_line(self, text: str) -> Instruction:
+        """The per-ISA parser behind :meth:`parse_line`."""
         raise NotImplementedError
+
+    def parse_line(self, text: str) -> Instruction:
+        """Parse one line of this architecture's assembly syntax.
+
+        Malformed input — an unknown mnemonic, a missing operand, a bad
+        immediate — raises :class:`IsaError`, never another exception.
+        """
+        try:
+            return self._parse_line(text)
+        except IsaError:
+            raise
+        except (IndexError, ValueError) as exc:
+            # the per-ISA parsers index operands and convert immediates
+            # without checking; a short or garbled line lands here
+            raise IsaError(
+                f"malformed {self.name} instruction {text.strip()!r}"
+            ) from exc
 
     # ------------------------------------------------------------------ #
     def render(self, instr: Instruction) -> Instruction:
@@ -153,13 +184,26 @@ class Isa:
         return instr.with_text(self.print_instruction(instr))
 
     def parse_body(self, lines: "list[str]") -> "list[Instruction]":
-        """Parse an instruction sequence, skipping blanks and comments."""
+        """Parse an instruction sequence, skipping blanks and comments.
+
+        Each distinct line is parsed once per ISA and the instruction is
+        shared afterwards (the table holds at most :data:`INTERN_LIMIT`
+        lines); a line that fails to parse is not stored, so it raises
+        every time it is seen.
+        """
+        table = self._interned
         out = []
         for line in lines:
             stripped = line.split("//")[0].split(";#")[0].strip()
             if not stripped:
                 continue
-            out.append(self.parse_line(stripped))
+            instr = table.get(stripped)
+            if instr is None:
+                instr = self.parse_line(stripped)
+                if len(table) >= INTERN_LIMIT:
+                    table.clear()
+                table[stripped] = instr
+            out.append(instr)
         return out
 
 

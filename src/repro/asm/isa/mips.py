@@ -106,7 +106,7 @@ class Mips(Isa):
         raise IsaError(f"cannot print {instr!r} for mips64")
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
+    def _parse_line(self, text: str) -> Instruction:
         text = text.strip()
         if text.endswith(":"):
             return Instruction(op=Op.LABEL, label=text[:-1], text=text)

@@ -111,7 +111,7 @@ class Ppc(Isa):
         raise IsaError(f"cannot print {instr!r} for ppc64")
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
+    def _parse_line(self, text: str) -> Instruction:
         text = text.strip()
         if text.endswith(":") and not text.endswith("cx."):
             return Instruction(op=Op.LABEL, label=text[:-1], text=text)

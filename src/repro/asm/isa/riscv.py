@@ -134,7 +134,7 @@ class RiscV(Isa):
         raise IsaError(f"cannot print {instr!r} for riscv64")
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
+    def _parse_line(self, text: str) -> Instruction:
         text = text.strip()
         if text.endswith(":"):
             return Instruction(op=Op.LABEL, label=text[:-1], text=text)

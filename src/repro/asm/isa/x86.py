@@ -107,7 +107,7 @@ class X86(Isa):
         )
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
+    def _parse_line(self, text: str) -> Instruction:
         text = text.strip()
         if text.endswith(":"):
             return Instruction(op=Op.LABEL, label=text[:-1], text=text)

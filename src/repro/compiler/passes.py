@@ -27,6 +27,7 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.events import MemoryOrder
+from ..core.frozen import frozen_copy
 from . import bugs
 from .ir import IRFunction, IRInstr, IROp, Operand
 from .profiles import CompilerProfile
@@ -52,6 +53,16 @@ _FOLDABLE = {
 # --------------------------------------------------------------------------- #
 # scaffolding passes
 # --------------------------------------------------------------------------- #
+def _with_operands(
+    instr: IRInstr, a: Optional[Operand], b: Optional[Operand]
+) -> IRInstr:
+    """``instr`` with operands ``a`` and ``b`` — ``instr`` itself when
+    neither changed (most operands resolve to themselves)."""
+    if a == instr.a and b == instr.b:
+        return instr
+    return frozen_copy(instr, a=a, b=b)
+
+
 def const_fold(body: List[IRInstr]) -> List[IRInstr]:
     """Block-local constant propagation and folding."""
     out: List[IRInstr] = []
@@ -65,12 +76,12 @@ def const_fold(body: List[IRInstr]) -> List[IRInstr]:
     for instr in body:
         if instr.op in (IROp.LABEL, IROp.BR, IROp.CBR):
             if instr.op is IROp.CBR:
-                instr = replace(instr, a=resolve(instr.a), b=resolve(instr.b))
+                instr = _with_operands(instr, resolve(instr.a), resolve(instr.b))
             # control flow joins invalidate block-local knowledge
             out.append(instr)
             consts.clear()
             continue
-        instr = replace(instr, a=resolve(instr.a), b=resolve(instr.b))
+        instr = _with_operands(instr, resolve(instr.a), resolve(instr.b))
         if instr.op is IROp.CONST and instr.dst is not None:
             consts[instr.dst] = int(instr.a)  # type: ignore[arg-type]
         elif (
@@ -105,7 +116,7 @@ def copy_prop(body: List[IRInstr]) -> List[IRInstr]:
             out.append(instr)
             copies.clear()
             continue
-        instr = replace(instr, a=resolve(instr.a), b=resolve(instr.b))
+        instr = _with_operands(instr, resolve(instr.a), resolve(instr.b))
         if instr.dst is not None:
             # defining x kills copies of x and copies *through* x
             copies.pop(instr.dst, None)

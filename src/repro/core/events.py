@@ -16,8 +16,10 @@ event disappears and with it every ordering the read provided.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
+
+from .frozen import frozen_copy
 
 
 class MemoryOrder(enum.IntEnum):
@@ -171,10 +173,10 @@ class Event:
         return tag in self.tags
 
     def with_value(self, value: int) -> "Event":
-        return replace(self, value=value)
+        return frozen_copy(self, value=value)
 
     def with_tags(self, *extra: str) -> "Event":
-        return replace(self, tags=self.tags | frozenset(extra))
+        return frozen_copy(self, tags=self.tags | frozenset(extra))
 
     # ------------------------------------------------------------------ #
     # rendering

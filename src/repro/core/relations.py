@@ -19,9 +19,9 @@ word-parallel bitwise operation:
 * union / intersection / difference  — row-wise ``|`` / ``&`` / ``& ~``;
 * composition ``r ; s``              — for each set bit ``b`` of a row of
   ``r``, OR in the row of ``b`` in ``s``;
-* ``r^+``                            — genuine repeated squaring,
-  ``R ← R ∪ R∘R``, doubling the covered path length each round
-  (``⌈log₂ n⌉`` rounds instead of ``n`` relaxation sweeps);
+* ``r^+``                            — the bitset Warshall kernel:
+  for each event ``k`` with a row, OR ``row[k]`` into every row that has
+  bit ``k`` set (one sweep per event, no ``R∘R`` product);
 * acyclicity                         — bitset Kahn elimination: repeatedly
   strip the vertices no live vertex points to;
 * restriction / domain / codomain    — row masking and bit collection.
@@ -320,22 +320,23 @@ class Relation:
         return rel
 
     def transitive_closure(self) -> "Relation":
-        """``r^+`` by repeated squaring: ``R ← R ∪ R∘R`` until fixpoint.
+        """``r^+`` by the bitset Warshall kernel.
 
-        Each round doubles the maximum path length already covered, so a
-        relation whose longest simple path has length ``k`` converges in
-        ``⌈log₂ k⌉ + 1`` rounds of row-level kernel ops.
+        For each event ``k`` that has a row (an event with no successors
+        is no intermediate of any path), OR ``row[k]`` into every row
+        with bit ``k`` set.  After step ``k`` each row reaches everything
+        reachable through intermediates among the events processed so
+        far, so one pass over the rows is the closure: ``n`` word-parallel
+        sweeps, with no ``R∘R`` product and no fixpoint test.
         """
         rows = dict(self._rows)
-        while True:
-            changed = False
-            for a, mask in _compose_rows(rows, rows).items():
-                old = rows.get(a, 0)
-                if mask | old != old:
-                    rows[a] = old | mask
-                    changed = True
-            if not changed:
-                return Relation._from_rows(rows)
+        for k in self._rows:
+            bit = 1 << k
+            through = rows[k]
+            for a, mask in rows.items():
+                if mask & bit:
+                    rows[a] = mask | through
+        return Relation._from_rows(rows)
 
     def reflexive_transitive_closure(self, universe: Iterable[int]) -> "Relation":
         """``r^*`` — needs the event universe to add the identity."""

@@ -420,6 +420,24 @@ class TestStore:
         store = CampaignStore(path)
         assert len(store) == 0 and store.skipped == 1
 
+    def test_campaign_started_reports_store_skipped(self, tmp_path):
+        """The store lines a campaign did not replay — a foreign-schema
+        record and a torn tail — are counted on its first event."""
+        path = tmp_path / "campaign.jsonl"
+        small_run(store=path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"schema": 999, "digest": "x"}) + "\n")
+            handle.write('{"schema": 1, "digest": "abc", "trunc')
+        session = Session(store=CampaignStore(path))
+        plan = CampaignPlan(config=CONFIG, arches=ARCHES, opts=OPTS,
+                            compilers=COMPILERS, resume=True)
+        started = next(iter(session.campaign(plan)))
+        assert started.store_skipped == 2 == session.store.skipped
+        assert started.as_dict()["store_skipped"] == 2
+        assert started.pending == 0
+        unstored = next(iter(Session().campaign(replace(plan, resume=False))))
+        assert unstored.store_skipped == 0
+
     def test_interrupted_campaign_persists_completed_cells(
         self, tmp_path, monkeypatch
     ):

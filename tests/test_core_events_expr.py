@@ -178,3 +178,44 @@ class TestOutcome:
 
     def test_str_format(self):
         assert str(Outcome.of({"x": 1})) == "{ x=1; }"
+
+
+class TestFrozenCopy:
+    """``frozen_copy`` is ``dataclasses.replace`` minus the ``__init__``
+    call, for frozen records that do no validation."""
+
+    def test_matches_replace(self):
+        from dataclasses import replace
+
+        from repro.core.frozen import frozen_copy
+
+        event = Event(3, 0, EventKind.WRITE, loc="x", tags=frozenset({"L"}))
+        copy = frozen_copy(event, value=7)
+        assert copy == replace(event, value=7)
+        assert hash(copy) == hash(replace(event, value=7))
+        assert event.value is None  # the original is untouched
+        assert event.with_tags("X").tags == {"L", "X"}
+
+    def test_refuses_validating_types_and_unknown_fields(self):
+        from dataclasses import dataclass
+
+        from repro.core.frozen import frozen_copy
+
+        @dataclass(frozen=True)
+        class Checked:
+            n: int
+
+            def __post_init__(self):
+                assert self.n >= 0
+
+        with pytest.raises(TypeError, match="__post_init__"):
+            frozen_copy(Checked(1), n=-1)
+        with pytest.raises(TypeError, match="no field"):
+            frozen_copy(Event(0, 0, EventKind.READ), colour="red")
+
+    def test_with_text_keeps_unchanged_instructions(self):
+        from repro.asm import Instruction, Op
+
+        nop = Instruction(op=Op.NOP, text="nop")
+        assert nop.with_text("nop") is nop
+        assert nop.with_text("NOP") == Instruction(op=Op.NOP, text="NOP")

@@ -15,8 +15,29 @@ chain_strategy = st.lists(
 )
 
 
+#: sparse ids spread past one machine word (bits 64+), with self-loops
+#: and long chains through a small alphabet of events
+sparse_ids = st.sampled_from([0, 1, 2, 5, 31, 63, 64, 65, 127, 200, 1000])
+sparse_pairs_strategy = st.sets(
+    st.tuples(sparse_ids, sparse_ids), max_size=30
+)
+
+
 def rel(*pairs):
     return Relation(pairs)
+
+
+def naive_closure(pairs):
+    """``r^+`` as the least fixpoint of pair relaxation: add ``(a, d)``
+    for every ``(a, b), (b, d)`` until nothing new appears."""
+    closure = set(pairs)
+    while True:
+        extra = {
+            (a, d) for a, b in closure for c, d in closure if b == c
+        } - closure
+        if not extra:
+            return closure
+        closure |= extra
 
 
 class TestConstruction:
@@ -151,6 +172,26 @@ class TestProperties:
             for c, d in closure:
                 if b == c:
                     assert (a, d) in closure
+
+    @given(st.one_of(pairs_strategy, sparse_pairs_strategy))
+    def test_closure_equals_naive_fixpoint(self, pairs):
+        """Exactly the least transitive superset: an over-approximating
+        closure passes the three checks above but not this one."""
+        assert Relation(pairs).transitive_closure().pairs == naive_closure(pairs)
+
+    @given(
+        st.one_of(pairs_strategy, sparse_pairs_strategy),
+        st.sets(sparse_ids, max_size=6),
+    )
+    def test_reflexive_closure_equals_naive_fixpoint(self, pairs, extra):
+        universe = {e for pair in pairs for e in pair} | extra
+        expected = naive_closure(pairs) | {(e, e) for e in universe}
+        got = Relation(pairs).reflexive_transitive_closure(universe)
+        assert got.pairs == expected
+
+    def test_closure_of_self_loops_and_wide_ids(self):
+        pairs = {(70, 70), (0, 64), (64, 130), (130, 0), (5, 5)}
+        assert Relation(pairs).transitive_closure().pairs == naive_closure(pairs)
 
     @given(pairs_strategy, pairs_strategy)
     def test_union_commutes(self, p1, p2):
