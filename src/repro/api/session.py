@@ -384,7 +384,6 @@ class Session:
         optimise: bool = True,
         unroll: int = 2,
         budget: Optional[Budget] = None,
-        source_result=None,
     ) -> TelechatResult:
         """Run test_tv on one C litmus test — :meth:`Toolchain.run_tv`
         over the session's cached toolchain, with models and profiles
@@ -404,7 +403,6 @@ class Session:
             optimise=optimise,
             unroll=unroll,
             budget=budget,
-            source_result=source_result,
         )
 
     def differential(

@@ -67,6 +67,7 @@ class AArch64(Isa):
     value_regs = ("w12", "w13", "w14", "w15", "w16", "w17", "w19", "w20")
     addr_regs = ("x8", "x9", "x10", "x11")
     param_regs = ("x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7")
+    register_pattern = re.compile(r"[wx](?:[12]?[0-9]|30|zr)|w?sp")
 
     # ------------------------------------------------------------------ #
     # printing
@@ -148,14 +149,10 @@ class AArch64(Isa):
     # parsing
     # ------------------------------------------------------------------ #
     def _parse_line(self, text: str) -> Instruction:
-        text = text.strip()
         if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
+            return Instruction(op=Op.LABEL, label=text[:-1])
         mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
-        ops = _split_operands(rest)
-        instr = self._parse_mnemonic(mnem, ops, text)
-        return instr.with_text(text)
+        return self._parse_mnemonic(mnem.lower(), _split_operands(rest), text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
         if mnem == "nop":

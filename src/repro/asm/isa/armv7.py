@@ -11,6 +11,7 @@ it stands for the MOVW/MOVT pair and does not touch memory.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from .aarch64 import _imm, _parse_mem, _split_operands
@@ -41,6 +42,7 @@ class Armv7(Isa):
     value_regs = ("r4", "r5", "r6", "r7", "r8", "r9")
     addr_regs = ("r10", "r11", "r12", "r14")
     param_regs = ("r0", "r1", "r2", "r3")
+    register_pattern = re.compile(r"r(?:1[0-5]|[0-9])|sp|lr|pc|fp|ip")
 
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
@@ -85,14 +87,10 @@ class Armv7(Isa):
 
     # ------------------------------------------------------------------ #
     def _parse_line(self, text: str) -> Instruction:
-        text = text.strip()
         if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
+            return Instruction(op=Op.LABEL, label=text[:-1])
         mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
-        ops = _split_operands(rest)
-        instr = self._parse_mnemonic(mnem, ops, text)
-        return instr.with_text(text)
+        return self._parse_mnemonic(mnem.lower(), _split_operands(rest), text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
         if mnem == "nop":

@@ -3,7 +3,10 @@
 Every ISA we model (AArch64, Armv7, x86-64, RISC-V, PowerPC, MIPS) lowers
 to the same small operation vocabulary; the per-ISA modules provide
 mnemonic syntax (printing and parsing, for the objdump/s2l round trip) and
-builder helpers used by the compiler back-ends.
+the register conventions the compiler back-ends use.  An
+:class:`Instruction` carries no display text: each ISA's printer is the
+only code that renders instruction syntax, and its parser the only code
+that reads it.
 
 Memory-ordering attributes live on the instruction (``acquire``,
 ``acquire_pc``, ``release``, ``exclusive``, ``fence_tags``) and are turned
@@ -13,10 +16,11 @@ into event tags by :mod:`repro.asm.semantics`.
 from __future__ import annotations
 
 import enum
+import operator
+import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ...core.frozen import frozen_copy
 from ...core.registry import Registry
 
 
@@ -59,8 +63,9 @@ AMO_KINDS = ("add", "sub", "or", "and", "xor", "swap")
 class Instruction:
     """One machine instruction in the unified representation.
 
-    ``text`` carries the architecture syntax as produced by the
-    disassembler; it is display-only and never interpreted.
+    Every field is semantic: the instruction holds no copy of its
+    syntax.  Display goes through the ISA printer
+    (``get_isa(arch).print_instruction``).
     """
 
     op: Op
@@ -83,12 +88,6 @@ class Instruction:
     exclusive: bool = False           # tag X (exclusives, x86 locked ops)
     status: Optional[str] = None      # STX success register
     fence_tags: FrozenSet[str] = frozenset()
-    text: str = ""
-
-    def with_text(self, text: str) -> "Instruction":
-        if text == self.text:
-            return self
-        return frozen_copy(self, text=text)
 
     @property
     def is_branch(self) -> bool:
@@ -106,16 +105,9 @@ class Instruction:
             Op.STX,
         )
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.text or f"{self.op.value} {self.dst or ''}"
 
-
-def label(name: str) -> Instruction:
-    return Instruction(op=Op.LABEL, label=name, text=f"{name}:")
-
-
-def nop() -> Instruction:
-    return Instruction(op=Op.NOP, text="nop")
+#: the fields of an :class:`Instruction` that name a register
+_REGISTER_FIELDS = operator.attrgetter("dst", "dst2", "src1", "src2", "addr_reg", "status")
 
 
 class IsaError(ValueError):
@@ -146,6 +138,8 @@ class Isa:
     addr_regs: Tuple[str, ...] = ()
     #: registers that carry the (up to 8) pointer arguments, in order.
     param_regs: Tuple[str, ...] = ()
+    #: every register name the parser accepts in an operand slot.
+    register_pattern: "re.Pattern[str]"
 
     def __init__(self) -> None:
         #: parse_body's intern table; sharing parsed instructions is safe
@@ -158,31 +152,38 @@ class Isa:
         raise NotImplementedError
 
     def _parse_line(self, text: str) -> Instruction:
-        """The per-ISA parser behind :meth:`parse_line`."""
+        """The per-ISA parser behind :meth:`parse_line` (``text`` is
+        stripped)."""
         raise NotImplementedError
 
     def parse_line(self, text: str) -> Instruction:
         """Parse one line of this architecture's assembly syntax.
 
         Malformed input — an unknown mnemonic, a missing operand, a bad
-        immediate — raises :class:`IsaError`, never another exception.
+        immediate, an operand that is not one of this ISA's registers
+        (:attr:`register_pattern`), an empty label — raises
+        :class:`IsaError`, never another exception.
         """
+        line = text.strip()
         try:
-            return self._parse_line(text)
+            instr = self._parse_line(line)
         except IsaError:
             raise
         except (IndexError, ValueError) as exc:
             # the per-ISA parsers index operands and convert immediates
             # without checking; a short or garbled line lands here
-            raise IsaError(
-                f"malformed {self.name} instruction {text.strip()!r}"
-            ) from exc
+            raise IsaError(f"malformed {self.name} instruction {line!r}") from exc
+        for reg in _REGISTER_FIELDS(instr):
+            if reg is not None and not self.register_pattern.fullmatch(reg):
+                raise IsaError(
+                    f"malformed {self.name} instruction {line!r}: "
+                    f"{reg!r} is not a register"
+                )
+        if (instr.op is Op.LABEL or instr.is_branch) and not instr.label:
+            raise IsaError(f"malformed {self.name} instruction {line!r}: empty label")
+        return instr
 
     # ------------------------------------------------------------------ #
-    def render(self, instr: Instruction) -> Instruction:
-        """Attach the printed syntax to ``instr.text``."""
-        return instr.with_text(self.print_instruction(instr))
-
     def parse_body(self, lines: "list[str]") -> "list[Instruction]":
         """Parse an instruction sequence, skipping blanks and comments.
 

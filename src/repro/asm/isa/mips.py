@@ -55,6 +55,9 @@ class Mips(Isa):
     value_regs = ("$2", "$3", "$8", "$9", "$10", "$11")
     addr_regs = ("$4", "$5", "$6", "$7")
     param_regs = ("$4", "$5", "$6", "$7")
+    register_pattern = re.compile(
+        r"\$(?:[12]?[0-9]|3[01]|zero|at|v[01]|a[0-3]|t[0-9]|s[0-8]|k[01]|gp|sp|fp|ra)"
+    )
 
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
@@ -107,16 +110,13 @@ class Mips(Isa):
 
     # ------------------------------------------------------------------ #
     def _parse_line(self, text: str) -> Instruction:
-        text = text.strip()
         if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
+            return Instruction(op=Op.LABEL, label=text[:-1])
         if text.lower() == "sync":
-            return Instruction(op=Op.FENCE, fence_tags=frozenset({"MIPS.SYNC"}),
-                               text=text)
+            return Instruction(op=Op.FENCE, fence_tags=frozenset({"MIPS.SYNC"}))
         mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
         ops = [o.strip() for o in rest.split(",")] if rest else []
-        return self._parse_mnemonic(mnem, ops, text).with_text(text)
+        return self._parse_mnemonic(mnem.lower(), ops, text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
         if mnem == "nop":

@@ -62,6 +62,7 @@ class Ppc(Isa):
     value_regs = ("r14", "r15", "r16", "r17", "r18", "r19")
     addr_regs = ("r7", "r8", "r9", "r10")
     param_regs = ("r3", "r4", "r5", "r6")
+    register_pattern = re.compile(r"r(?:[12]?[0-9]|3[01])|sp")
 
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
@@ -112,16 +113,14 @@ class Ppc(Isa):
 
     # ------------------------------------------------------------------ #
     def _parse_line(self, text: str) -> Instruction:
-        text = text.strip()
         if text.endswith(":") and not text.endswith("cx."):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
+            return Instruction(op=Op.LABEL, label=text[:-1])
         lowered = text.lower()
         if lowered in _FENCE_PARSE:
-            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[lowered], text=text)
+            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[lowered])
         mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
         ops = [o.strip() for o in rest.split(",")] if rest else []
-        return self._parse_mnemonic(mnem, ops, text).with_text(text)
+        return self._parse_mnemonic(mnem.lower(), ops, text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
         if mnem == "nop":

@@ -66,6 +66,9 @@ class RiscV(Isa):
     value_regs = ("a5", "a6", "a7", "t0", "t1", "t2", "t3")
     addr_regs = ("a0", "a1", "a2", "a3")
     param_regs = ("a0", "a1", "a2", "a3")
+    register_pattern = re.compile(
+        r"zero|ra|[sgt]p|fp|t[0-6]|s(?:1[01]|[0-9])|a[0-7]|x(?:[12]?[0-9]|3[01])"
+    )
 
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
@@ -135,21 +138,19 @@ class RiscV(Isa):
 
     # ------------------------------------------------------------------ #
     def _parse_line(self, text: str) -> Instruction:
-        text = text.strip()
         if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
+            return Instruction(op=Op.LABEL, label=text[:-1])
         if text.lower() in _FENCE_PARSE:
-            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[text.lower()],
-                               text=text)
+            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[text.lower()])
         mnem, _, rest = text.partition(" ")
         mnem = mnem.lower()
         if mnem == "fence":
             key = f"fence {rest.replace(' ', '')}"
             if key not in _FENCE_PARSE:
                 raise IsaError(f"unknown fence {text!r}")
-            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[key], text=text)
+            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[key])
         ops = [o.strip() for o in rest.split(",")] if rest else []
-        return self._parse_mnemonic(mnem, ops, text).with_text(text)
+        return self._parse_mnemonic(mnem, ops, text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
         if mnem == "nop":

@@ -52,6 +52,9 @@ class X86(Isa):
     value_regs = ("eax", "ecx", "edx", "r10d", "r11d", "ebx")
     addr_regs = ("r8", "r9", "r12", "r13")
     param_regs = ("rdi", "rsi", "rdx", "rcx")
+    register_pattern = re.compile(
+        r"r(?:[89]|1[0-5])[dwb]?|[re]?(?:[abcd]x|[sd]i|[sb]p)|[abcd][lh]"
+    )
 
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
@@ -108,16 +111,12 @@ class X86(Isa):
 
     # ------------------------------------------------------------------ #
     def _parse_line(self, text: str) -> Instruction:
-        text = text.strip()
         if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
-        lowered = text.lower()
-        if lowered.startswith("lock "):
-            return self._parse_locked(text[5:].strip()).with_text(text)
+            return Instruction(op=Op.LABEL, label=text[:-1])
+        if text.lower().startswith("lock "):
+            return self._parse_locked(text[5:].strip())
         mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
-        ops = _split(rest)
-        return self._parse_mnemonic(mnem, ops, text).with_text(text)
+        return self._parse_mnemonic(mnem.lower(), _split(rest), text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
         if mnem == "nop":

@@ -21,10 +21,10 @@ from typing import Dict, List, Tuple
 
 from ..core.errors import MappingError
 from ..core.litmus import LitmusBase
-from .isa.base import Instruction
+from .isa.base import Instruction, get_isa
 
 #: every :class:`Instruction` field, in declaration order — the digest
-#: renders them all (``text`` included: simulation errors quote it)
+#: renders them all, and each is one the simulator reads
 _INSTRUCTION_FIELDS = tuple(f.name for f in fields(Instruction))
 _instruction_values = operator.attrgetter(*_INSTRUCTION_FIELDS)
 _OP = _INSTRUCTION_FIELDS.index("op")
@@ -66,9 +66,6 @@ class AsmThread:
         if self.name.startswith("P") and self.name[1:].isdigit():
             return int(self.name[1:])
         raise ValueError(f"thread name {self.name!r} is not of the form Pn")
-
-    def observable_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(f"{self.name}:{v}" for v in self.observed.values()))
 
 
 @dataclass
@@ -187,10 +184,11 @@ class AsmLitmus(LitmusBase):
             for reg, sym in sorted(thread.addr_env.items()):
                 inits.append(f"{thread.tid}:{reg}={sym};")
         lines.append("{ " + " ".join(inits) + " }")
+        isa = get_isa(self.arch)
         for thread in self.threads:
             lines.append(f"{thread.name}:")
             for instr in thread.instructions:
-                lines.append(f"  {instr.text or instr.op.value}")
+                lines.append(f"  {isa.print_instruction(instr)}")
         lines.append(str(self.condition))
         return "\n".join(lines)
 

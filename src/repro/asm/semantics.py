@@ -38,7 +38,7 @@ from ..core.errors import SimulationError
 from ..core.events import EventKind
 from ..core.expr import BinOp, Const, Expr, ReadVal, is_constant
 from ..herd.templates import EventTemplate, PathConstraint, ThreadPath, ThreadProgram
-from .isa.base import Instruction, Op
+from .isa.base import Instruction, IsaError, Op, get_isa
 from .litmus import AsmLitmus, AsmThread
 
 #: Registers that read as zero and discard writes, across all modelled ISAs.
@@ -339,6 +339,16 @@ class AsmThreadElaborator:
         elif instr.dst in state.addrs and instr.dst != instr.src1:
             state.addrs.pop(instr.dst, None)
 
+    def _quote(self, instr: Instruction) -> str:
+        """``instr`` in the litmus test's syntax, for an error message;
+        the op name when the printer cannot render it, so an error path
+        never raises a different error."""
+        try:
+            return get_isa(self.litmus.arch).print_instruction(instr)
+        except (IsaError, KeyError):
+            # no syntax for it, or a field outside the printer's tables
+            return instr.op.value
+
     def _resolve(self, instr: Instruction, state: _AsmState) -> Tuple[str, FrozenSet[int]]:
         """Resolve a memory operand to a symbolic location.
 
@@ -351,7 +361,7 @@ class AsmThreadElaborator:
         if instr.addr_reg not in state.addrs:
             raise SimulationError(
                 f"{self.thread.name}: register {instr.addr_reg!r} holds no "
-                f"known address at {instr.text or instr.op.value!r}"
+                f"known address at {self._quote(instr)!r}"
             )
         symbol, base_offset = state.addrs[instr.addr_reg]
         offset = base_offset + instr.offset

@@ -111,7 +111,7 @@ class _ThreadCodegen:
         return f".L{self.fn.name}_{hint}{self.label_counter}"
 
     def emit(self, instr: Instruction) -> None:
-        self.out.append(self.isa.render(instr))
+        self.out.append(instr)
 
     # ---- value registers ----------------------------------------------- #
     def _alloc_reg(self, vreg: str) -> str:
@@ -255,10 +255,8 @@ class _ThreadCodegen:
                     # insert before the final ret
                     self.out.insert(
                         len(self.out) - 1,
-                        self.isa.render(
-                            Instruction(op=Op.LOAD, dst=reg, addr_reg=self._sp(),
-                                        offset=self.slot_of[name], width=32)
-                        ),
+                        Instruction(op=Op.LOAD, dst=reg, addr_reg=self._sp(),
+                                    offset=self.slot_of[name], width=32),
                     )
                     out[name] = reg
             elif name in self.vreg_map:

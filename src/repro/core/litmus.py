@@ -179,6 +179,3 @@ class LitmusBase:
 
     def shared_locations(self) -> Tuple[str, ...]:
         return tuple(sorted(self.init))
-
-    def observed_names(self) -> FrozenSet[str]:
-        return self.condition.observables()

@@ -14,7 +14,6 @@ hand-built AST equals a parsed one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,3 @@ class Span:
         """The span of a token at ``line``/``column``, ``width`` chars wide."""
         end_column = column + width if width and column else 0
         return Span(line, column, line if width and column else 0, end_column)
-
-
-def span_of(node: object) -> Optional[Span]:
-    """The span attached to an AST node, if any (``None``-safe)."""
-    return getattr(node, "span", None)

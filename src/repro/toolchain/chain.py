@@ -287,12 +287,13 @@ class Toolchain:
         seed: Optional[Union[SimulationResult, ReproError]] = None,
     ) -> OutcomeSet:
         """Source-side herd run.  ``seed`` injects a simulation computed
-        elsewhere (a caller's hoisted result, or a campaign worker's)
-        under the key this stage would have used, so later calls replay
-        it from the cache; a :class:`ReproError` seed is cached — and
-        re-raised — like a simulation that failed here."""
+        elsewhere (a campaign worker's, or a caller's hoisted result)
+        under the key this stage would have used, so later calls — a
+        :meth:`run_tv` included — replay it from the cache; a
+        :class:`ReproError` seed is cached — and re-raised — like a
+        simulation that failed here."""
         if isinstance(seed, SimulationResult):
-            # a hoisted result is cached session-wide under *this call's*
+            # a seed is cached session-wide under *this call's*
             # key; a seed simulated under a different model would poison
             # every later consumer, so the one part of its provenance a
             # SimulationResult records — the model — is checked here
@@ -304,7 +305,7 @@ class Toolchain:
                 provided = expected  # unregistered models: trust the caller
             if provided != expected:
                 raise ReproError(
-                    f"source_result was simulated under "
+                    f"the seed was simulated under "
                     f"{seed.model_name!r} but this run asked for "
                     f"{expected!r} — refusing to cache a mismatched hoist"
                 )
@@ -397,7 +398,6 @@ class Toolchain:
         optimise: bool = True,
         unroll: int = 2,
         budget: Optional[Budget] = None,
-        source_result: Optional[SimulationResult] = None,
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
     ) -> TelechatResult:
@@ -409,7 +409,7 @@ class Toolchain:
         lifted = self.lift(prepared, compiled, optimise=optimise, trace=t)
         source_out = self.simulate_source(
             prepared, source_model, unroll=unroll, budget=budget,
-            keep_executions=keep_executions, trace=t, seed=source_result,
+            keep_executions=keep_executions, trace=t,
         )
         target_out = self.simulate_target(
             lifted, target_model, budget=budget,
@@ -430,9 +430,7 @@ class Toolchain:
             source_seconds=source_out.seconds,
             target_seconds=target_out.seconds,
             compile_seconds=compiled.seconds + lifted.seconds,
-            source_reused=bool(
-                source_result is not None or cached.get("simulate-source")
-            ),
+            source_reused=bool(cached.get("simulate-source")),
             compile_reused=bool(
                 cached.get("compile") and cached.get("lift")
             ),
@@ -453,7 +451,6 @@ class Toolchain:
         optimise: bool = True,
         unroll: int = 2,
         budget: Optional[Budget] = None,
-        source_result: Optional[SimulationResult] = None,
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
     ) -> DifferentialResult:
@@ -463,8 +460,8 @@ class Toolchain:
         Unlike the old hand-rolled path this shares the toolchain's
         artifact cache — each (test, profile) compiles once no matter how
         many pairs or test_tv sweeps also need it — and runs the *full*
-        s2l optimiser on both branches.  ``source_model`` (or a hoisted
-        ``source_result``) switches on the undefined-behaviour oracle:
+        s2l optimiser on both branches.  ``source_model`` switches on the
+        undefined-behaviour oracle:
         the C source is simulated once and racy tests excuse the
         difference, exactly as in test_tv.
         """
@@ -490,12 +487,10 @@ class Toolchain:
         comparison = verdict.comparison
 
         source_out: Optional[OutcomeSet] = None
-        if source_model is not None or source_result is not None:
+        if source_model is not None:
             source_out = self.simulate_source(
-                prepared,
-                source_model if source_model is not None else "rc11",
-                unroll=unroll, budget=budget,
-                keep_executions=keep_executions, trace=t, seed=source_result,
+                prepared, source_model, unroll=unroll, budget=budget,
+                keep_executions=keep_executions, trace=t,
             )
             # the oracle overrides the UB flag mcompare read off branch a
             # (an asm simulation never carries C-level data-race UB)
@@ -543,9 +538,7 @@ class Toolchain:
             source_model=model_name,
             source_seconds=source_out.seconds if source_out else 0.0,
             source_reused=bool(
-                source_out is not None
-                and (source_result is not None
-                     or cached.get("simulate-source"))
+                source_out is not None and cached.get("simulate-source")
             ),
             compile_seconds=(
                 compiled_a.seconds + lifted_a.seconds

@@ -183,10 +183,6 @@ class DifferentialResult:
         return self.comparison.verdict()
 
     @property
-    def found_difference(self) -> bool:
-        return self.comparison.is_positive
-
-    @property
     def profile_pair(self) -> str:
         """The joined profile name differential records/stores key by."""
         return f"{self.profile_a.name}|{self.profile_b.name}"

@@ -27,10 +27,6 @@ class C2SResult:
     obj: ObjectFile
     listing: Dict[str, List[str]]
 
-    @property
-    def state_mappings(self) -> Dict[str, Dict[str, str]]:
-        return self.obj.debug.var_registers
-
 
 def compile_and_disassemble(litmus: CLitmus, profile: CompilerProfile) -> C2SResult:
     """Compile a prepared C litmus test and disassemble the object file."""

@@ -116,7 +116,7 @@ def fold_got_loads(
                 and nxt.offset == 0
             ):
                 target = obj.got_entries[instr.symbol]
-                out.append(frozen_copy(instr, symbol=target, text=""))
+                out.append(frozen_copy(instr, symbol=target))
                 stats.removed_got_loads += 1
                 i += 2
                 continue

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.asm import AsmLitmus, AsmThread, elaborate_asm, get_isa, total_instructions
+from repro.asm import (
+    AsmLitmus, AsmThread, Instruction, Op, elaborate_asm, get_isa, total_instructions,
+)
 from repro.core.errors import MappingError, SimulationError
 from repro.core.events import EventKind
 from repro.core.litmus import And, Condition, LocEq, RegEq, TrueProp
@@ -73,8 +75,19 @@ class TestBasics:
 
     def test_unknown_address_register_raises(self):
         t = AsmThread("P0", (A64.parse_line("ldr w12, [x5]"),), addr_env={})
-        with pytest.raises(SimulationError, match="no\\s+known address"):
+        with pytest.raises(SimulationError,
+                           match=r"no\s+known address at 'ldr w12, \[x5\]'"):
             elaborate_asm(litmus([t]))
+
+    def test_unprintable_instruction_error_quotes_the_op(self):
+        # an x86 RMW returning a non-swap old value has no x86 syntax:
+        # the error names the op instead of raising the printer's error
+        amo = Instruction(op=Op.AMO, amo_kind="or", dst="eax", src1="ecx",
+                          addr_reg="r8")
+        lit = litmus([AsmThread("P0", (amo,), addr_env={})])
+        lit.arch = "x86_64"
+        with pytest.raises(SimulationError, match="known address at 'amo'"):
+            elaborate_asm(lit)
 
     def test_unknown_branch_label_raises(self):
         t = thread("P0", ["b .Lnowhere"])

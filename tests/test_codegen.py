@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asm import get_isa
 from repro.compiler import (
     compile_program,
     disassemble,
@@ -19,8 +20,9 @@ from repro.tools.l2c import prepare
 def compile_text(litmus, profile):
     """Compiled mnemonics per thread as a single lowercase string."""
     unit = compile_program(lower(litmus), profile)
+    isa = get_isa(profile.arch)
     return {
-        t.name: " ; ".join(i.text for i in t.instructions).lower()
+        t.name: " ; ".join(isa.print_instruction(i) for i in t.instructions).lower()
         for t in unit.threads
     }
 

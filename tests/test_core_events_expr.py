@@ -212,10 +212,3 @@ class TestFrozenCopy:
             frozen_copy(Checked(1), n=-1)
         with pytest.raises(TypeError, match="no field"):
             frozen_copy(Event(0, 0, EventKind.READ), colour="red")
-
-    def test_with_text_keeps_unchanged_instructions(self):
-        from repro.asm import Instruction, Op
-
-        nop = Instruction(op=Op.NOP, text="nop")
-        assert nop.with_text("nop") is nop
-        assert nop.with_text("NOP") == Instruction(op=Op.NOP, text="NOP")

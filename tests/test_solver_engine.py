@@ -341,7 +341,9 @@ class TestCampaignCaches:
         litmus = fig7_lb()
         profile = make_profile("llvm", "-O3", "aarch64")
         source = simulate_c(prepare(litmus, augment=True), "rc11")
-        hoisted = Toolchain().run_tv(litmus, profile, source_result=source)
+        toolchain = Toolchain()
+        toolchain.simulate_source(toolchain.prepare(litmus), "rc11", seed=source)
+        hoisted = toolchain.run_tv(litmus, profile)
         inline = Toolchain().run_tv(litmus, profile)
         assert hoisted.source_reused and not inline.source_reused
         assert hoisted.verdict == inline.verdict

@@ -422,6 +422,28 @@ class TestSessionToolchain:
         assert re.search(r"ldr|LOAD", text)  # the disassembly
         assert trace.artifact("lift").stats.parsed_instructions > 0
 
+    def test_lift_render_prints_every_instruction_through_the_isa(self):
+        """The lifted test shows each instruction as the ISA printer
+        renders it — folded GOT accesses included — never a bare op name."""
+        from repro.asm import Op, get_isa
+        from repro.papertests import fig1_exchange
+
+        trace = Session().explain(fig1_exchange(), "llvm-O0-AArch64")
+        lift = trace.artifact("lift")
+        isa = get_isa("aarch64")
+        lines = lift.render().splitlines()
+        # nop and ret are the only ops AArch64 spells as their bare name
+        bare = {op.value for op in Op} - {"nop", "ret"}
+        assert not {line.strip() for line in lines} & bare
+        for thread in lift.litmus.threads:
+            start = lines.index(f"{thread.name}:") + 1
+            shown = lines[start:start + len(thread.instructions)]
+            assert shown == [
+                f"  {isa.print_instruction(i)}" for i in thread.instructions
+            ]
+        assert lift.stats.removed_got_loads > 0
+        assert "  adrp x8, x" in lines
+
     def test_explain_differential(self):
         session = Session()
         trace = session.explain(
@@ -508,17 +530,22 @@ class TestSessionToolchain:
         assert after.total_positive() == 0
 
     def test_seed_model_mismatch_refused(self):
-        """A hoisted source_result simulated under a different model
-        must not be cached under this run's key (session-wide poison)."""
+        """A source seed simulated under a different model must not be
+        cached under this run's key (session-wide poison)."""
         from repro.herd.simulator import simulate_c
         from repro.tools.l2c import prepare
 
         litmus = fig7_lb()
         wrong = simulate_c(prepare(litmus), "rc11+lb")
-        session = Session()
+        toolchain = Session().toolchain()
         with pytest.raises(ReproError, match="mismatched hoist"):
-            session.test(litmus, PROFILE_B, source_model="rc11",
-                         source_result=wrong)
+            toolchain.simulate_source(
+                toolchain.prepare(litmus), "rc11", seed=wrong
+            )
+        # nothing was cached: the run simulates the source under rc11
+        result = toolchain.run_tv(litmus, parse_profile(PROFILE_B))
+        assert not result.source_reused
+        assert result.source_result.model_name == "rc11"
 
     def test_bounded_artifact_cache_recomputes_instead_of_growing(self):
         from repro.toolchain import ArtifactCache
